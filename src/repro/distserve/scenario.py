@@ -31,7 +31,6 @@ from repro.distserve.placement import (
     LocalityAwarePlacement,
     RoundRobinPlacement,
     ShardLayout,
-    build_layout,
 )
 from repro.distserve.topology import NetworkModel
 from repro.resilience.faults import (
@@ -40,7 +39,6 @@ from repro.resilience.faults import (
     ServerFaults,
     StragglerSpec,
 )
-from repro.workloads.distributions import ZipfIndices
 
 __all__ = [
     "SHARD_FAULTS_KEY",
@@ -58,8 +56,12 @@ __all__ = [
 #: the rest to FaultPlan.synthesize.
 SHARD_FAULTS_KEY = "shard_faults"
 
-#: Layout keys a shard scenario entry (or CLI override) may carry.
-SHARD_SETUP_KEYS = ("shards", "sharding", "alpha", "hot_k", "replicas")
+#: Layout keys a shard scenario entry (or override) may carry, each
+#: with the type its value is coerced to.
+SHARD_SETUP_KEYS = {
+    "shards": int, "sharding": str, "alpha": float, "hot_k": int,
+    "replicas": int,
+}
 
 
 def default_shard_scenarios() -> Dict[str, Dict[str, Any]]:
@@ -228,49 +230,38 @@ def run_shard_matrix(
     *distribution* layer), and the same seeded shard fault plan aimed
     at each layout's hottest shard.
     """
-    from repro.models import build_model
-    from repro.monitor.scenario import scenario_kwargs, service_model_for
+    from repro.monitor.scenario import Scenario
     from repro.resilience import Replica, ResilientScheduler
     from repro.runtime import BatchingPolicy
     from repro.telemetry import TimeSeries
 
-    model = build_model(model_name)
-    if service_model is None:
-        service_model = service_model_for(model, platform, batch_size)
-    if network is None:
-        network = NetworkModel()
-
-    kwargs = scenario_kwargs(scenario, **(scenario_overrides or {}))
-    is_shard, setup, synth_kwargs = split_shard_kwargs(kwargs)
-    if not is_shard:
+    sc = Scenario(
+        model_name, platform, scenario, batch_size=batch_size,
+        queries=queries, qps=qps, seed=seed,
+        overrides=scenario_overrides or {}, window_s=window_s,
+        shards=shards, sharding=sharding, alpha=alpha, hot_k=hot_k,
+        replicas=replicas,
+    )
+    if not sc.is_shard:
         raise ValueError(
             f"scenario {scenario!r} is not a shard scenario "
             f"(no {SHARD_FAULTS_KEY!r} marker)"
         )
-    shards = int(setup.get("shards", shards))
-    sharding = str(setup.get("sharding", sharding))
-    alpha = float(setup.get("alpha", alpha))
-    hot_k = int(setup.get("hot_k", hot_k))
-    replicas = int(setup.get("replicas", replicas))
-
-    distribution = ZipfIndices(alpha=alpha)
+    if service_model is None:
+        service_model = sc.primary_model
+    if network is None:
+        network = NetworkModel()
 
     blind = RoundRobinPlacement()
     # The hot set is replicated on every shard (it is tiny); ``replicas``
     # only sets the replicated-*read* fan-out, so the aware layout stays
     # load-balanced regardless of how many holders a read races.
-    aware = LocalityAwarePlacement(hot_k=hot_k)
-
-    def layout_for(n: int, placement) -> ShardLayout:
-        return build_layout(
-            model, n, sharding=sharding, placement=placement,
-            distribution=distribution,
-        )
+    aware = LocalityAwarePlacement(hot_k=sc.hot_k)
 
     # Policy time constants derive from the healthy gather cost of the
     # blind layout, so they are deterministic and scale with the model.
     probe = ShardGatherModel(
-        layout_for(shards, blind), network=network
+        sc.layout(blind), network=network
     ).start_run().gather(batch_size, 0.0)
     healthy_gather_s = max(probe.seconds, 1e-5)
     hedge = GatherHedgePolicy(delay_s=2.0 * healthy_gather_s)
@@ -285,19 +276,21 @@ def run_shard_matrix(
     peak = batch_size / (service_model.seconds(batch_size) + healthy_gather_s)
     qps = qps if qps else 0.8 * peak
     horizon = queries / qps
-    batch_timeout_s = batch_size / qps
+    batching = BatchingPolicy(
+        max_batch=batch_size, batch_timeout_s=batch_size / qps
+    )
 
     cases = [
         (_CASE_SINGLE, 1, blind, GatherPolicy.none()),
-        (_CASE_BLIND, shards, blind, GatherPolicy.none()),
-        (_CASE_BLIND_HEDGE, shards, blind, GatherPolicy(hedge=hedge)),
-        (_CASE_AWARE, shards, aware, GatherPolicy.none()),
+        (_CASE_BLIND, sc.shards, blind, GatherPolicy.none()),
+        (_CASE_BLIND_HEDGE, sc.shards, blind, GatherPolicy(hedge=hedge)),
+        (_CASE_AWARE, sc.shards, aware, GatherPolicy.none()),
         (
             _CASE_AWARE_FULL,
-            shards,
+            sc.shards,
             aware,
             GatherPolicy(
-                replicate=ReplicatedReadPolicy(replicas=replicas),
+                replicate=ReplicatedReadPolicy(replicas=sc.replicas),
                 hedge=hedge,
                 partial=partial,
             ),
@@ -307,14 +300,11 @@ def run_shard_matrix(
     matrix_plan: Optional[FaultPlan] = None
     rows: List[ShardCaseResult] = []
     for label, n, placement, gather_policy in cases:
-        layout = layout_for(n, placement)
+        layout = sc.layout(placement, n)
         if n == 1:
             plan = FaultPlan.none()
         else:
-            plan = synthesize_shard_plan(
-                seed, layout.names, horizon,
-                target=layout.hottest().name, **synth_kwargs,
-            )
+            plan = sc.shard_plan(layout, horizon)
             if matrix_plan is None:
                 matrix_plan = plan
         gather = ShardGatherModel(
@@ -323,26 +313,20 @@ def run_shard_matrix(
         )
         ts = None
         if with_timeseries:
-            ts = TimeSeries(
-                window_s=window_s if window_s else horizon / 24.0
-            )
+            ts = TimeSeries(window_s=window_s if window_s else horizon / 24.0)
         scheduler = ResilientScheduler(
             [Replica(platform, service_model)],
-            BatchingPolicy(
-                max_batch=batch_size, batch_timeout_s=batch_timeout_s
-            ),
-            fault_plan=None,
+            batching,
             seed=seed,
             timeseries=ts,
             gather=gather,
         )
-        result = scheduler.run(qps, num_queries=queries)
         rows.append(
             ShardCaseResult(
                 label=label,
                 layout=layout,
                 gather_policy=gather_policy,
-                result=result,
+                result=scheduler.run(qps, num_queries=queries),
                 timeseries=ts,
             )
         )
@@ -355,8 +339,8 @@ def run_shard_matrix(
         queries=queries,
         qps=qps,
         batch_size=batch_size,
-        shards=shards,
-        sharding=sharding,
+        shards=sc.shards,
+        sharding=sc.sharding,
         horizon_s=horizon,
         plan=matrix_plan if matrix_plan is not None else FaultPlan.none(),
         rows=rows,
@@ -385,8 +369,8 @@ def matrix_records(matrix: ShardMatrix):
             matrix.batch_size,
             kind="shard",
             timeseries=row.timeseries,
+            arrival_qps=matrix.qps,
         )
-        record.scalars["arrival_qps"] = matrix.qps
         for key, value in row.layout.scalars().items():
             record.scalars[f"layout.{key}"] = value
         records.append(record)

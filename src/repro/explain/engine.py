@@ -86,6 +86,20 @@ class Explanation:
         lat = np.asarray(result.latencies_s, dtype=float)
         self._sorted_lat = np.sort(lat)
 
+    @classmethod
+    def of(cls, ms: Any, fault_slack_s: Optional[float] = None) -> "Explanation":
+        """Explain a :class:`~repro.monitor.MonitoredScenario` run with a
+        query trace attached. ``fault_slack_s`` defaults to the run's
+        telemetry window, so batches that started inside a fault window
+        but finished just after it still count as overlapping."""
+        return cls(
+            ms.querytrace,
+            ms.result,
+            fault_windows=ms.fault_windows(),
+            meta=ms.meta(horizon_s=ms.horizon_s),
+            fault_slack_s=ms.window_s if fault_slack_s is None else fault_slack_s,
+        )
+
     # -- record selection ---------------------------------------------------
 
     @property
@@ -395,13 +409,8 @@ def explain_scenario(
     **scenario_kwargs: Any,
 ) -> Tuple[Explanation, Any]:
     """Run one monitored scenario under query-trace capture and explain
-    it. Returns ``(explanation, monitored_scenario)`` — the shared glue
-    the CLI and the golden tests both call, mirroring
-    :func:`~repro.monitor.run_monitored_scenario`.
-
-    ``fault_slack_s`` defaults to the scenario's telemetry window, so
-    batches that started inside a fault window but finished just after
-    it still count as overlapping.
+    it. Returns ``(explanation, monitored_scenario)``; ``scenario_kwargs``
+    are :func:`~repro.monitor.run_monitored_scenario`'s keywords.
     """
     from repro.monitor import run_monitored_scenario
 
@@ -409,23 +418,4 @@ def explain_scenario(
     ms = run_monitored_scenario(
         model, platform, scenario, querytrace=qt, **scenario_kwargs
     )
-    slack = ms.window_s if fault_slack_s is None else fault_slack_s
-    meta = {
-        "model": ms.model,
-        "platform": ms.platform,
-        "scenario": ms.scenario,
-        "seed": ms.seed,
-        "queries": ms.queries,
-        "qps": ms.qps,
-        "deadline_s": ms.deadline_s,
-        "horizon_s": ms.horizon_s,
-        "fallback": ms.fallback,
-    }
-    exp = Explanation(
-        qt,
-        ms.result,
-        fault_windows=ms.fault_windows(),
-        meta=meta,
-        fault_slack_s=slack,
-    )
-    return exp, ms
+    return Explanation.of(ms, fault_slack_s), ms

@@ -358,6 +358,7 @@ def record_schedule(
     base: Optional[RunRecord] = None,
     timeseries=None,
     attribution: Optional[Dict[str, float]] = None,
+    arrival_qps: Optional[float] = None,
 ) -> RunRecord:
     """Freeze a scheduler / resilience run into a record.
 
@@ -370,7 +371,8 @@ def record_schedule(
     dict) embeds the run's windowed telemetry; ``attribution`` (a flat
     float map from
     :meth:`repro.explain.Explanation.attribution_section`) embeds the
-    run's critical-path decomposition.
+    run's critical-path decomposition. ``arrival_qps``, when given, is
+    stored as the ``arrival_qps`` scalar.
     """
     scalars: Dict[str, float] = dict(base.scalars) if base is not None else {}
     op_seconds = dict(base.op_seconds) if base is not None else {}
@@ -385,6 +387,8 @@ def record_schedule(
     )
     if hasattr(result, "rate_scalars"):
         scalars.update(result.rate_scalars())
+    if arrival_qps is not None:
+        scalars["arrival_qps"] = arrival_qps
     latency_hist = result.latency_histogram()
     if latency_hist.count:
         for p in (50.0, 95.0, 99.0):
@@ -445,10 +449,8 @@ def record_run(
     )
     if queries <= 0:
         return base
-    session = InferenceSession(model, platform)
-    calibration = sorted({1, max(2, batch_size // 4), batch_size, 2 * batch_size})
-    service_model = ServiceTimeModel.from_profiles(
-        [session.profile(b) for b in calibration]
+    service_model = ServiceTimeModel.calibrate(
+        InferenceSession(model, platform), batch_size
     )
     peak = batch_size / service_model.seconds(batch_size)
     arrival_qps = qps if qps else 0.5 * peak
@@ -456,12 +458,10 @@ def record_run(
         service_model, BatchingPolicy(max_batch=batch_size), seed=seed
     )
     result = scheduler.run(arrival_qps, num_queries=queries)
-    record = record_schedule(
+    return record_schedule(
         result, base.fingerprint, batch_size,
-        kind="serve", timestamp=timestamp, base=base,
+        kind="serve", timestamp=timestamp, base=base, arrival_qps=arrival_qps,
     )
-    record.scalars["arrival_qps"] = arrival_qps
-    return record
 
 
 def record_sweep(

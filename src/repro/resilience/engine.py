@@ -32,7 +32,11 @@ from repro import telemetry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policies import ResiliencePolicy
 from repro.resilience.server import Replica, ServerState
-from repro.runtime.scheduler import BatchingPolicy, ScheduleResult
+from repro.runtime.scheduler import (
+    BatchingPolicy,
+    ScheduleResult,
+    check_run_args,
+)
 from repro.telemetry.chrome_trace import (
     REPLICA_LANE_FAULT,
     REPLICA_LANE_HEDGE,
@@ -183,12 +187,7 @@ class ResilientScheduler:
         self, arrival_qps: float, num_queries: int = 2000
     ) -> ResilientScheduleResult:
         """Simulate ``num_queries`` Poisson arrivals at ``arrival_qps``."""
-        if not math.isfinite(arrival_qps) or arrival_qps <= 0:
-            raise ValueError(
-                f"arrival rate must be a positive finite QPS, got {arrival_qps}"
-            )
-        if num_queries < 1:
-            raise ValueError(f"need at least one query, got {num_queries}")
+        check_run_args(self.policy, arrival_qps, num_queries)
 
         rng = np.random.default_rng(self.seed)
         inter_arrivals = rng.exponential(1.0 / arrival_qps, size=num_queries)

@@ -31,11 +31,17 @@ from repro.telemetry.querytrace import AttemptEvent, ServiceParts
 if TYPE_CHECKING:  # avoid runtime circularity with repro.core / resilience
     from repro.core.speedup import SweepResult
     from repro.resilience import FaultPlan, ResiliencePolicy, ResilientScheduler
-    from repro.runtime.session import InferenceProfile
+    from repro.runtime.session import InferenceProfile, InferenceSession
     from repro.telemetry import TimeSeries
     from repro.telemetry.querytrace import QueryTraceCapture
 
-__all__ = ["ServiceTimeModel", "BatchingPolicy", "ScheduleResult", "QueryScheduler"]
+__all__ = [
+    "ServiceTimeModel",
+    "BatchingPolicy",
+    "ScheduleResult",
+    "QueryScheduler",
+    "check_run_args",
+]
 
 
 class ServiceTimeModel:
@@ -116,6 +122,19 @@ class ServiceTimeModel:
         )
         return model
 
+    @classmethod
+    def calibrate(
+        cls, session: "InferenceSession", batch_size: int
+    ) -> "ServiceTimeModel":
+        """The one calibration recipe for a ``max_batch=batch_size`` server.
+
+        Profiles the batch sizes dynamic batching actually dispatches —
+        a lone query, a quarter batch, a full batch — plus twice the
+        batch so interpolation never clamps at the top.
+        """
+        knots = sorted({1, max(2, batch_size // 4), batch_size, 2 * batch_size})
+        return cls.from_profiles([session.profile(b) for b in knots])
+
     def _interpolate(self, values: List[float], batch_size: int) -> float:
         """Log-linear interpolation, clamped to the profiled knot range.
 
@@ -162,9 +181,36 @@ class BatchingPolicy:
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.batch_timeout_s < 0:
-            raise ValueError("batch timeout must be non-negative")
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        # An infinite timeout never closes a partial batch: the batching
+        # loop would stall and report an infinite duration.
+        if not math.isfinite(self.batch_timeout_s) or self.batch_timeout_s < 0:
+            raise ValueError(
+                "batch timeout must be finite and non-negative, got "
+                f"{self.batch_timeout_s!r}"
+            )
+
+
+def check_run_args(
+    policy: BatchingPolicy, arrival_qps: float, num_queries: int
+) -> None:
+    """The run-argument boundary every scheduler loop shares.
+
+    Re-checks the policy too: one constructed through pickling or
+    ``__new__`` (or mutated past its frozen guard) skipped
+    ``__post_init__``.
+    """
+    if isinstance(num_queries, bool) or not isinstance(
+        num_queries, (int, np.integer)
+    ):
+        raise ValueError(f"num_queries must be an integer, got {num_queries!r}")
+    if num_queries < 1:
+        raise ValueError(f"need at least one query, got {num_queries}")
+    if not math.isfinite(arrival_qps) or arrival_qps <= 0:
+        raise ValueError(
+            f"arrival rate must be a positive finite QPS, got {arrival_qps!r}"
+        )
+    policy.__post_init__()
 
 
 @dataclass
@@ -313,34 +359,9 @@ class QueryScheduler:
             querytrace=self.querytrace,
         )
 
-    def _validate_run(self, arrival_qps: float, num_queries: int) -> None:
-        if not isinstance(num_queries, (int, np.integer)):
-            raise ValueError(
-                f"num_queries must be an integer, got {num_queries!r}"
-            )
-        if num_queries < 1:
-            raise ValueError(f"need at least one query, got {num_queries}")
-        if not math.isfinite(arrival_qps) or arrival_qps <= 0:
-            raise ValueError(
-                "arrival rate must be a positive finite QPS, got "
-                f"{arrival_qps!r}"
-            )
-        # Defensive re-checks: a policy constructed through pickling or
-        # __new__ could bypass __post_init__, and a bad timeout would
-        # make the batching loop hang or divide by zero.
-        if self.policy.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.policy.max_batch}")
-        if not math.isfinite(self.policy.batch_timeout_s) or (
-            self.policy.batch_timeout_s < 0
-        ):
-            raise ValueError(
-                "batch timeout must be finite and non-negative, got "
-                f"{self.policy.batch_timeout_s!r}"
-            )
-
     def run(self, arrival_qps: float, num_queries: int = 2000) -> ScheduleResult:
         """Simulate ``num_queries`` Poisson arrivals at ``arrival_qps``."""
-        self._validate_run(arrival_qps, num_queries)
+        check_run_args(self.policy, arrival_qps, num_queries)
         if self._resilient:
             return self._build_resilient().run(arrival_qps, num_queries)
         inter_arrivals = self._rng.exponential(1.0 / arrival_qps, size=num_queries)

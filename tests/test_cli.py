@@ -78,7 +78,8 @@ class TestTraceCommand:
             "trace", "--model", "dlrm_rm2", "--platform", "cascade-lake",
             "--batch-size", "64", "-o", out, "--queries", "128", "--no-run",
         ]) == 0
-        doc = json.loads(open(out).read())
+        with open(out) as fh:
+            doc = json.load(fh)
         events = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert events
         for event in events:
@@ -96,7 +97,8 @@ class TestTraceCommand:
             assert abs(sums[kind] - expected) < 1e-9
 
         # Scheduler metrics rode along in the metrics report.
-        metrics = json.loads(open(str(tmp_path / "out.metrics.json")).read())
+        with open(str(tmp_path / "out.metrics.json")) as fh:
+            metrics = json.load(fh)
         names = {r["name"] for r in metrics}
         assert {"scheduler.queue_depth", "scheduler.batch_occupancy",
                 "scheduler.query_latency_s"} <= names
@@ -170,7 +172,8 @@ class TestResilienceCommand:
             "resilience", "--model", "rm1", "--queries", "200",
             "--scenario", "crash", "--trace", trace,
         ]) == 0
-        doc = json.loads(open(trace).read())
+        with open(trace) as fh:
+            doc = json.load(fh)
         names = {e.get("name", "") for e in doc["traceEvents"]}
         assert any(".batch" in n for n in names)
         assert any(".crash" in n for n in names)
@@ -340,7 +343,8 @@ class TestTraceSchedulerModes:
             "trace", "--scheduler", "--model", "rm1", "--queries", "200",
             "-o", out,
         ]) == 0
-        doc = json.loads(open(out).read())
+        with open(out) as fh:
+            doc = json.load(fh)
         names = {e.get("name", "") for e in doc["traceEvents"]}
         assert any(".batch" in n for n in names)
         assert "scheduler:" in capsys.readouterr().out
@@ -353,7 +357,8 @@ class TestTraceSchedulerModes:
             "trace", "--resilience", "--model", "rm1", "--queries", "200",
             "-o", out,
         ]) == 0
-        doc = json.loads(open(out).read())
+        with open(out) as fh:
+            doc = json.load(fh)
         names = {e.get("name", "") for e in doc["traceEvents"]}
         assert any(".batch" in n for n in names)
         assert any(".slowdown" in n or ".straggler" in n for n in names)

@@ -248,7 +248,8 @@ class TestChromeTraceExport:
         path = str(tmp_path / "t.trace.json")
         telemetry.write_chrome_trace(path, tracer.spans())
 
-        doc = json.loads(open(path).read())
+        with open(path) as fh:
+            doc = json.load(fh)
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(events) == 2
         for event in events:
