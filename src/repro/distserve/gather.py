@@ -38,14 +38,11 @@ which RPCs are unlucky.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.distserve.placement import GatherPart, ShardLayout
 from repro.distserve.topology import NetworkModel
 from repro.resilience.faults import FaultInjector, FaultPlan
-
-if TYPE_CHECKING:
-    from repro.telemetry import TimeSeries
 
 __all__ = [
     "ReplicatedReadPolicy",
@@ -210,51 +207,6 @@ class ShardGatherModel:
 
     def start_run(self) -> "GatherRun":
         return GatherRun(self)
-
-    # -- fault-window export (mirrors the replica-level emission) ------------
-
-    def fault_windows(self) -> List[Tuple[str, str, float, float]]:
-        """(shard, kind, start, end) for every injected shard window."""
-        out: List[Tuple[str, str, float, float]] = []
-        for name in self.layout.names:
-            faults = self.fault_plan.for_server(name)
-            for w in faults.slowdowns:
-                out.append((name, "slowdown", w.start_s, w.end_s))
-            for w in faults.crashes:
-                out.append((name, "crash", w.start_s, w.end_s))
-            for w in faults.pcie:
-                out.append((name, "network", w.start_s, w.end_s))
-        return out
-
-    def emit_fault_windows(self, ts: "TimeSeries") -> None:
-        """Shard windows -> ``faults.window_active_s`` + shard states.
-
-        Uses the same counter track the replica level uses, so the
-        monitor's fault-correlation logic needs no changes to attribute
-        tail excursions to shard faults.
-        """
-        for name, kind, start, end in self.fault_windows():
-            ts.count_interval("faults.window_active_s", start, end)
-            if kind == "crash":
-                ts.mark_state_interval(f"shard.{name}", start, end, "crashed")
-            else:
-                ts.mark_state_interval(f"shard.{name}", start, end, "degraded")
-
-    def trace_fault_windows(self, tracer) -> None:
-        from repro.telemetry.chrome_trace import (
-            REPLICA_LANE_FAULT,
-            SHARD_PID_BASE,
-        )
-
-        index = {name: i for i, name in enumerate(self.layout.names)}
-        for name, kind, start, end in self.fault_windows():
-            tracer.add_span(
-                f"{name}.{kind}", start, end - start,
-                category="distserve.fault",
-                tid=REPLICA_LANE_FAULT,
-                pid=SHARD_PID_BASE + index[name],
-                process=name,
-            )
 
 
 class GatherRun:

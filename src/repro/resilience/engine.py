@@ -17,6 +17,11 @@ Accounting invariant (property-tested): every issued query ends in
 exactly one of completed / shed / dropped, and each completed query
 contributes exactly one latency sample — no matter how many times it
 was retried or hedged.
+
+Observation: the loop never calls a sink. It appends what happened to
+one run log, which :mod:`repro.telemetry.servelog` replays into the
+attached TimeSeries, query trace, tracer and metrics registry after the
+simulation.
 """
 
 from __future__ import annotations
@@ -37,14 +42,12 @@ from repro.runtime.scheduler import (
     ScheduleResult,
     check_run_args,
 )
+from repro.telemetry import servelog
 from repro.telemetry.chrome_trace import (
-    REPLICA_LANE_FAULT,
     REPLICA_LANE_HEDGE,
     REPLICA_LANE_RETRY,
     REPLICA_LANE_SERVE,
-    REPLICA_PID_BASE,
 )
-from repro.telemetry.querytrace import AttemptEvent, HedgeLeg, ServiceParts
 
 if TYPE_CHECKING:
     from repro.distserve.gather import ShardGatherModel
@@ -52,11 +55,6 @@ if TYPE_CHECKING:
     from repro.telemetry.querytrace import QueryTraceCapture
 
 __all__ = ["ResilientScheduler", "ResilientScheduleResult"]
-
-#: Legacy virtual thread-id base, kept for external readers; exported
-#: spans now carry a per-replica *pid* (REPLICA_PID_BASE + index) with
-#: lane tids, so replica activity renders as its own named process.
-_REPLICA_TID_BASE = 2000
 
 
 @dataclass
@@ -168,18 +166,16 @@ class ResilientScheduler:
         self.resilience = resilience or ResiliencePolicy.none()
         self.fault_plan = fault_plan or FaultPlan.none()
         self.seed = seed
-        # Optional windowed sink; emission never feeds back into the
-        # simulation (same bit-identical contract as QueryScheduler).
+        # Optional sinks (windowed telemetry; the per-query causal trace
+        # behind repro explain). run() fills them from its run log after
+        # the simulation, so they cannot feed back into it.
         self.timeseries = timeseries
+        self.querytrace = querytrace
         # Optional sharded-embedding gather model (repro.distserve):
         # adds the distribution overhead of each batch's gather fan-out
         # to its service time. A colocated single-shard layout adds
         # exactly 0.0, preserving the bit-identical contract.
         self.gather = gather
-        # Optional per-query causal trace (repro explain substrate);
-        # capture only copies floats the loop already computed, so the
-        # bit-identical contract extends to it — pinned in tests.
-        self.querytrace = querytrace
 
     # -- simulation ----------------------------------------------------------
 
@@ -199,22 +195,18 @@ class ResilientScheduler:
         ]
         res = self.resilience
         policy = self.policy
-        tracer = telemetry.get_tracer()
-        tracing = telemetry.enabled()
-        if tracing:
-            self._trace_fault_windows(tracer, servers)
         grun = self.gather.start_run() if self.gather is not None else None
-        if grun is not None and tracing:
-            self.gather.trace_fault_windows(tracer)
-        ts = self.timeseries
-        if ts is not None:
-            ts.count_many("arrivals", arrivals)
-            self._emit_fault_windows(ts, servers)
-            if grun is not None:
-                self.gather.emit_fault_windows(ts)
-        qt = self.querytrace
-        if qt is not None:
-            qt.begin_run(arrivals)
+        # What happened, for repro.telemetry.servelog to feed the sinks
+        # after the loop; kept only when something observes the run.
+        log: Optional[list] = (
+            []
+            if self.timeseries is not None
+            or self.querytrace is not None
+            or telemetry.enabled()
+            else None
+        )
+        # Per-shard gather pieces only feed the query trace.
+        gather_pieces = self.querytrace is not None
 
         latencies = np.full(num_queries, np.nan)
         outcome = np.full(num_queries, -1, dtype=np.int8)
@@ -265,15 +257,13 @@ class ResilientScheduler:
             start = max(dispatch_at, server.free_at)
             if len(members) == policy.max_batch:
                 start = max(members[-1][0], server.free_at)
-            if qt is not None:
-                # The instant the batch stopped admitting members: the
-                # last member's arrival when it filled, else the head
-                # timeout. Captured before shedding mutates `members`.
-                batch_close = (
-                    members[-1][0]
-                    if len(members) == policy.max_batch
-                    else dispatch_at
-                )
+            # The instant the batch stopped admitting members: the last
+            # member's arrival when it filled, else the head timeout.
+            batch_close = (
+                members[-1][0]
+                if len(members) == policy.max_batch
+                else dispatch_at
+            )
 
             if server.index != 0:
                 counters["failovers"] += len(members)
@@ -286,10 +276,8 @@ class ResilientScheduler:
                     if start + floor_s > arrivals[m[1]] + res.shed.deadline_s:
                         outcome[m[1]] = _Outcome.SHED
                         counters["shed"] += 1
-                        if ts is not None:
-                            ts.count("shed", start)
-                        if qt is not None:
-                            qt.shed(m[1], start)
+                        if log is not None:
+                            log.append((servelog.SHED, m[1], start))
                     else:
                         kept.append(m)
                 members = kept
@@ -310,47 +298,33 @@ class ResilientScheduler:
             service, faults = server.service_seconds(batch, start, degraded)
             gout = None
             if grun is not None:
-                gout = grun.gather(batch, start, detail=qt is not None)
+                gout = grun.gather(batch, start, detail=gather_pieces)
                 service = service + gout.seconds
             server.note_dispatch()
             finish = start + service
             if faults.slowdown:
                 counters["slowdown_batches"] += 1
-                if ts is not None:
-                    ts.count("faults.slowdown", start)
             if faults.straggler:
                 counters["straggler_batches"] += 1
-                if ts is not None:
-                    ts.count("faults.straggler", start)
             if faults.pcie:
                 counters["pcie_batches"] += 1
-                if ts is not None:
-                    ts.count("faults.pcie", start)
 
             # -- crash in flight --------------------------------------------
             crash = server.injector.crash_during(start, finish)
             crash_at = None
+            tripped = False
             if crash is not None:
                 crash_at = max(start, crash.start_s)
                 counters["crashed_batches"] += 1
                 server.free_at = crash.end_s
                 tripped = server.record_failure(crash_at, res.breaker)
-                if ts is not None:
-                    ts.count("faults.crash", crash_at)
-                    ts.mark_state(f"replica.{server.name}", crash_at, "crashed")
-                    if tripped:
-                        ts.mark_state(
-                            f"replica.{server.name}", crash_at, "breaker_open"
-                        )
             else:
                 server.free_at = finish
 
             # -- hedging ----------------------------------------------------
             hedge_finish = math.inf
             hedge_server = None
-            h_start = 0.0
-            h_faults = None
-            h_gout = None
+            hedge_leg = None
             if (
                 res.hedge is not None
                 and len(servers) > 1
@@ -371,9 +345,10 @@ class ResilientScheduler:
                     h_service, h_faults = hedge_server.service_seconds(
                         batch, h_start
                     )
+                    h_gout = None
                     if grun is not None:
                         h_gout = grun.gather(batch, h_start,
-                                             detail=qt is not None)
+                                             detail=gather_pieces)
                         h_service = h_service + h_gout.seconds
                     hedge_server.note_dispatch()
                     h_finish = h_start + h_service
@@ -381,90 +356,26 @@ class ResilientScheduler:
                         h_start, h_finish
                     )
                     counters["hedges"] += batch
-                    if ts is not None:
-                        ts.count("hedges", h_start, batch)
+                    h_crash_at = None
+                    h_tripped = False
                     if h_crash is not None:
                         counters["crashed_batches"] += 1
                         hedge_server.free_at = h_crash.end_s
                         h_crash_at = max(h_start, h_crash.start_s)
-                        tripped = hedge_server.record_failure(
+                        h_tripped = hedge_server.record_failure(
                             h_crash_at, res.breaker
                         )
-                        if ts is not None:
-                            ts.count("faults.crash", h_crash_at)
-                            ts.mark_state(
-                                f"replica.{hedge_server.name}", h_crash_at,
-                                "crashed",
-                            )
-                            if tripped:
-                                ts.mark_state(
-                                    f"replica.{hedge_server.name}",
-                                    h_crash_at, "breaker_open",
-                                )
-                        hedge_server = None
                     else:
                         hedge_server.free_at = h_finish
                         hedge_finish = h_finish
-                        if tracing:
-                            tracer.add_span(
-                                f"{hedge_server.name}.hedge", h_start,
-                                h_service,
-                                category="resilience.hedge",
-                                tid=REPLICA_LANE_HEDGE,
-                                pid=REPLICA_PID_BASE + hedge_server.index,
-                                process=hedge_server.name,
-                                batch=batch,
-                            )
+                    if log is not None:
+                        hedge_leg = servelog.Leg(
+                            hedge_server.index, REPLICA_LANE_HEDGE, h_start,
+                            h_service, h_crash_at, h_tripped, False,
+                            h_faults, h_gout,
+                        )
 
             batch_sizes.append(batch)
-            if tracing:
-                span_end = crash_at if crash_at is not None else finish
-                # Retried work (a batch whose head attempt > 0) gets its
-                # own lane so reissues don't overlap first-try serving.
-                lane = (
-                    REPLICA_LANE_RETRY if head_attempt > 0
-                    else REPLICA_LANE_SERVE
-                )
-                tracer.add_span(
-                    f"{server.name}.batch", start, span_end - start,
-                    category="resilience.server",
-                    tid=lane,
-                    pid=REPLICA_PID_BASE + server.index,
-                    process=server.name,
-                    batch=batch, degraded=degraded,
-                    crashed=crash_at is not None,
-                )
-            if ts is not None:
-                span_end = crash_at if crash_at is not None else finish
-                ts.count("batches", start)
-                ts.sample("batch_occupancy", start, batch)
-                ts.sample("queue_depth", start, len(members))
-                ts.count_interval("busy_s", start, span_end)
-                ts.count_interval(
-                    f"replica.{server.name}.busy_s", start, span_end
-                )
-                if crash_at is None:
-                    ts.mark_state(
-                        f"replica.{server.name}", start,
-                        "degraded" if degraded else "healthy",
-                    )
-                if gout is not None and gout.fanout:
-                    ts.sample("distserve.fanout", start, gout.fanout)
-                    ts.observe("distserve.gather_s", start, gout.seconds)
-                    if gout.hedged:
-                        ts.count("distserve.hedges", start, gout.hedged)
-                    if gout.imputed:
-                        ts.count(
-                            "distserve.imputed_lookups", start, gout.imputed
-                        )
-                    if gout.cached:
-                        ts.count(
-                            "distserve.cached_lookups", start, gout.cached
-                        )
-                    if gout.partial:
-                        ts.count("faults.partial_gather", start)
-                    if gout.blocked:
-                        ts.count("faults.blocked_gather", start)
 
             # -- per-query settlement ---------------------------------------
             primary_ok = crash_at is None
@@ -474,120 +385,71 @@ class ResilientScheduler:
                 counters["hedge_wins"] += batch
             winner = hedge_server if hedge_won else server
             completion = hedge_finish if hedge_won else finish
-
-            if qt is not None:
-                # Shared per-batch capture state: copies of floats the
-                # loop already computed, assembled once per batch.
-                qt_lane = (
+            if log is not None:
+                # Retried work (a batch whose head attempt > 0) gets its
+                # own lane so reissues don't overlap first-try serving.
+                lane = (
                     REPLICA_LANE_RETRY if head_attempt > 0
                     else REPLICA_LANE_SERVE
                 )
-                qt_parts = ServiceParts(
-                    base_s=faults.base_s,
-                    pcie_extra_s=faults.pcie_extra_s,
-                    slowdown_extra_s=faults.slowdown_extra_s,
-                    straggler_extra_s=faults.straggler_extra_s,
-                    gather_s=gout.seconds if gout is not None else 0.0,
-                    gather_pieces=gout.pieces if gout is not None else (),
-                )
-                qt_hedge = None
-                if hedge_ok and hedge_server is not None:
-                    qt_hedge = HedgeLeg(
-                        start=h_start,
-                        server=hedge_server.name,
-                        server_index=hedge_server.index,
-                        parts=ServiceParts(
-                            base_s=h_faults.base_s,
-                            pcie_extra_s=h_faults.pcie_extra_s,
-                            slowdown_extra_s=h_faults.slowdown_extra_s,
-                            straggler_extra_s=h_faults.straggler_extra_s,
-                            gather_s=(
-                                h_gout.seconds if h_gout is not None else 0.0
-                            ),
-                            gather_pieces=(
-                                h_gout.pieces if h_gout is not None else ()
-                            ),
-                        ),
-                    )
-
-                def qt_attempt(
-                    qid: int, attempt: int, ready: float,
-                    kind: str, end: float,
-                ) -> None:
-                    qt.attempt(qid, AttemptEvent(
-                        attempt=attempt,
-                        ready=ready,
-                        batch_close=batch_close,
-                        start=start,
-                        end=end,
-                        outcome=kind,
-                        server=server.name,
-                        server_index=server.index,
-                        lane=qt_lane,
-                        parts=qt_parts,
-                        hedge=qt_hedge,
-                        hedge_won=hedge_won,
-                    ))
+                log.append((
+                    servelog.BATCH, batch, batch_close,
+                    servelog.Leg(
+                        server.index, lane, start, service, crash_at,
+                        tripped, degraded, faults, gout,
+                    ),
+                    hedge_leg, hedge_won,
+                ))
 
             for ready, qid, attempt in members:
+                lost_trip = False
                 if not primary_ok and not hedge_ok:
-                    if qt is not None:
-                        qt_attempt(qid, attempt, ready, "crash", crash_at)
-                    self._fail(
-                        heap, outcome, counters, qid, attempt, crash_at, res,
-                        ts, qt,
-                    )
-                    continue
-                if winner.injector.should_drop(qid, attempt):
+                    kind, end = "crash", crash_at
+                elif winner.injector.should_drop(qid, attempt):
                     counters["dropped_responses"] += 1
-                    tripped = winner.record_failure(completion, res.breaker)
-                    if ts is not None:
-                        ts.count("faults.dropped_response", completion)
-                        if tripped:
-                            ts.mark_state(
-                                f"replica.{winner.name}", completion,
-                                "breaker_open",
-                            )
+                    lost_trip = winner.record_failure(completion, res.breaker)
                     detect = (
                         ready + res.retry.deadline_s
                         if res.retry is not None
                         else completion
                     )
-                    if qt is not None:
-                        qt_attempt(
-                            qid, attempt, ready, "drop_response",
-                            max(detect, completion),
-                        )
-                    self._fail(
-                        heap, outcome, counters, qid, attempt,
-                        max(detect, completion), res, ts, qt,
-                    )
-                    continue
-                if (
+                    kind, end = "drop_response", max(detect, completion)
+                elif (
                     res.retry is not None
                     and completion > ready + res.retry.deadline_s
                 ):
                     counters["timeouts"] += 1
-                    if qt is not None:
-                        qt_attempt(
-                            qid, attempt, ready, "timeout",
-                            ready + res.retry.deadline_s,
+                    kind, end = "timeout", ready + res.retry.deadline_s
+                else:
+                    kind, end = "completed", completion
+                if log is not None:
+                    log.append((
+                        servelog.ATTEMPT, qid, attempt, ready, kind, end,
+                        lost_trip,
+                    ))
+                if kind == "completed":
+                    latencies[qid] = completion - arrivals[qid]
+                    outcome[qid] = _Outcome.COMPLETED
+                    counters["completed"] += 1
+                    winner.record_success()
+                    if log is not None:
+                        log.append(
+                            (servelog.SETTLE, qid, latencies[qid], completion)
                         )
-                    self._fail(
-                        heap, outcome, counters, qid, attempt,
-                        ready + res.retry.deadline_s, res, ts, qt,
-                    )
-                    continue
-                latencies[qid] = completion - arrivals[qid]
-                outcome[qid] = _Outcome.COMPLETED
-                counters["completed"] += 1
-                winner.record_success()
-                if ts is not None:
-                    ts.count("completions", completion)
-                    ts.observe("latency_s", completion, latencies[qid])
-                if qt is not None:
-                    qt_attempt(qid, attempt, ready, "completed", completion)
-                    qt.settle(qid, float(latencies[qid]), completion)
+                elif res.retry is not None and attempt < res.retry.max_retries:
+                    # The attempt failed at `end`: retry after backoff ...
+                    heapq.heappush(heap, (
+                        end + res.retry.backoff_s(attempt), qid, attempt + 1
+                    ))
+                    counters["retries"] += 1
+                    if log is not None:
+                        log.append((servelog.RETRY, qid, end))
+                else:
+                    # ... or give up on the query.
+                    outcome[qid] = _Outcome.DROPPED
+                    counters["dropped"] += 1
+                    if log is not None:
+                        log.append((servelog.DROP, qid, end))
 
         end = max(s.free_at for s in servers)
         duration = max(float(end - arrivals[0] + inter_arrivals[0]), 0.0)
@@ -621,8 +483,8 @@ class ResilientScheduler:
                 else {}
             ),
         )
-        if telemetry.enabled():
-            self._record_metrics(result)
+        if log is not None:
+            servelog.replay(self, log, arrivals, result)
         return result
 
     # -- helpers -------------------------------------------------------------
@@ -638,109 +500,3 @@ class ResilientScheduler:
             if s.index != exclude and s.available(t):
                 return s
         return None
-
-    def _fail(
-        self,
-        heap: List[Tuple[float, int, int]],
-        outcome: np.ndarray,
-        counters: Dict[str, int],
-        qid: int,
-        attempt: int,
-        at: float,
-        res: ResiliencePolicy,
-        ts: Optional["TimeSeries"] = None,
-        qt: Optional["QueryTraceCapture"] = None,
-    ) -> None:
-        """One attempt failed at ``at``: schedule a retry or drop the query."""
-        if res.retry is not None and attempt < res.retry.max_retries:
-            heapq.heappush(
-                heap, (at + res.retry.backoff_s(attempt), qid, attempt + 1)
-            )
-            counters["retries"] += 1
-            if ts is not None:
-                ts.count("retries", at)
-        else:
-            outcome[qid] = _Outcome.DROPPED
-            counters["dropped"] += 1
-            if ts is not None:
-                ts.count("dropped", at)
-            if qt is not None:
-                qt.drop(qid, at)
-
-    def _trace_fault_windows(self, tracer, servers: List[ServerState]) -> None:
-        for s in servers:
-            pid = REPLICA_PID_BASE + s.index
-            faults = s.injector.faults
-            for w in faults.slowdowns:
-                tracer.add_span(
-                    f"{s.name}.slowdown x{w.multiplier:g}", w.start_s,
-                    w.end_s - w.start_s, category="resilience.fault",
-                    tid=REPLICA_LANE_FAULT, pid=pid, process=s.name,
-                )
-            for w in faults.crashes:
-                tracer.add_span(
-                    f"{s.name}.crash", w.start_s, w.end_s - w.start_s,
-                    category="resilience.fault",
-                    tid=REPLICA_LANE_FAULT, pid=pid, process=s.name,
-                )
-            for w in faults.pcie:
-                tracer.add_span(
-                    f"{s.name}.pcie x{w.bandwidth_scale:g}", w.start_s,
-                    w.end_s - w.start_s, category="resilience.fault",
-                    tid=REPLICA_LANE_FAULT, pid=pid, process=s.name,
-                )
-
-    def _emit_fault_windows(
-        self, ts: "TimeSeries", servers: List[ServerState]
-    ) -> None:
-        """Record injected fault windows as per-window active seconds.
-
-        ``faults.window_active_s`` integrates how much of each window
-        lies inside *any* injected window, so the monitor can correlate
-        tail excursions with injected faults even in windows where no
-        dispatched batch happened to sample the fault.
-        """
-        for s in servers:
-            faults = s.injector.faults
-            for w in faults.slowdowns:
-                ts.count_interval("faults.window_active_s", w.start_s, w.end_s)
-            for w in faults.crashes:
-                ts.count_interval("faults.window_active_s", w.start_s, w.end_s)
-                ts.mark_state_interval(
-                    f"replica.{s.name}", w.start_s, w.end_s, "crashed"
-                )
-            for w in faults.pcie:
-                ts.count_interval("faults.window_active_s", w.start_s, w.end_s)
-
-    def _record_metrics(self, result: ResilientScheduleResult) -> None:
-        registry = telemetry.get_registry()
-        primary = self.replicas[0]
-        labels = dict(
-            model=primary.service_model.model,
-            platform=primary.service_model.platform,
-        )
-
-        def bump(name: str, amount: float) -> None:
-            if amount:
-                registry.counter(name, **labels).inc(amount)
-
-        registry.counter("resilience.runs", **labels).inc()
-        bump("resilience.queries", result.queries)
-        bump("resilience.completed", result.completed)
-        bump("resilience.shed", result.shed)
-        bump("resilience.dropped", result.dropped)
-        bump("resilience.retries", result.retries)
-        bump("resilience.timeouts", result.timeouts)
-        bump("resilience.hedges", result.hedges)
-        bump("resilience.hedge_wins", result.hedge_wins)
-        bump("resilience.failovers", result.failovers)
-        bump("resilience.degraded_queries", result.degraded_queries)
-        bump("resilience.breaker_trips", result.breaker_trips)
-        for key, value in result.fault_counts.items():
-            bump(f"resilience.faults.{key}", value)
-        for key, value in result.gather_counts.items():
-            bump(f"distserve.{key}", value)
-        if len(result.latencies_s):
-            registry.histogram(
-                "resilience.query_latency_s", exact_cap=0, **labels
-            ).observe_many(result.latencies_s)

@@ -26,14 +26,11 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.telemetry.querytrace import AttemptEvent, ServiceParts
+from repro.telemetry import servelog
 
-if TYPE_CHECKING:  # avoid runtime circularity with repro.core / resilience
+if TYPE_CHECKING:  # avoid runtime circularity with repro.core
     from repro.core.speedup import SweepResult
-    from repro.resilience import FaultPlan, ResiliencePolicy, ResilientScheduler
     from repro.runtime.session import InferenceProfile, InferenceSession
-    from repro.telemetry import TimeSeries
-    from repro.telemetry.querytrace import QueryTraceCapture
 
 __all__ = [
     "ServiceTimeModel",
@@ -281,14 +278,11 @@ class ScheduleResult:
 
 
 class QueryScheduler:
-    """Discrete-event simulation of one batching server.
+    """Discrete-event simulation of one perfect batching server.
 
-    The plain configuration (no keyword extras) is the exact historical
-    simulator. Passing any of ``fault_plan`` / ``resilience`` /
-    ``standbys`` / ``degraded_model`` layers the
-    :mod:`repro.resilience` engine on top: the same batching policy and
-    arrival process, plus injected faults, failover replicas, and the
-    serving policies — see ``docs/resilience.md``.
+    For faults, failover replicas, serving policies or observability
+    sinks, run :class:`~repro.resilience.ResilientScheduler`: with one
+    replica and nothing injected it is bit-identical to this loop.
     """
 
     def __init__(
@@ -296,105 +290,20 @@ class QueryScheduler:
         service_model: ServiceTimeModel,
         policy: BatchingPolicy,
         seed: int = 2020,
-        *,
-        fault_plan: Optional["FaultPlan"] = None,
-        resilience: Optional["ResiliencePolicy"] = None,
-        standbys: Optional[Sequence[ServiceTimeModel]] = None,
-        degraded_model: Optional[ServiceTimeModel] = None,
-        timeseries: Optional["TimeSeries"] = None,
-        querytrace: Optional["QueryTraceCapture"] = None,
     ) -> None:
         self.service_model = service_model
         self.policy = policy
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self.fault_plan = fault_plan
-        self.resilience = resilience
-        self.standbys = list(standbys) if standbys else []
-        self.degraded_model = degraded_model
-        # Optional windowed telemetry sink. Emission is read-only with
-        # respect to simulation state (no RNG draws, no arithmetic on
-        # the sim's floats), so results with a sink attached are
-        # bit-identical to runs without one — pinned in tests.
-        self.timeseries = timeseries
-        # Optional per-query causal trace; same observational contract.
-        self.querytrace = querytrace
-        self._resilient = (
-            fault_plan is not None
-            or resilience is not None
-            or bool(self.standbys)
-            or degraded_model is not None
-        )
-
-    def _build_resilient(self) -> "ResilientScheduler":
-        """The equivalent fleet simulation for this configuration."""
-        from repro.resilience import Replica, ResilientScheduler
-
-        names = set()
-
-        def unique(name: str) -> str:
-            candidate, k = name, 1
-            while candidate in names:
-                k += 1
-                candidate = f"{name}#{k}"
-            names.add(candidate)
-            return candidate
-
-        replicas = [
-            Replica(
-                unique(self.service_model.platform),
-                self.service_model,
-                degraded_model=self.degraded_model,
-            )
-        ]
-        for standby in self.standbys:
-            replicas.append(Replica(unique(standby.platform), standby))
-        return ResilientScheduler(
-            replicas,
-            self.policy,
-            resilience=self.resilience,
-            fault_plan=self.fault_plan,
-            seed=self.seed,
-            timeseries=self.timeseries,
-            querytrace=self.querytrace,
-        )
 
     def run(self, arrival_qps: float, num_queries: int = 2000) -> ScheduleResult:
         """Simulate ``num_queries`` Poisson arrivals at ``arrival_qps``."""
         check_run_args(self.policy, arrival_qps, num_queries)
-        if self._resilient:
-            return self._build_resilient().run(arrival_qps, num_queries)
         inter_arrivals = self._rng.exponential(1.0 / arrival_qps, size=num_queries)
         arrivals = np.cumsum(inter_arrivals)
-
-        # Telemetry handles are resolved once per run; the simulation
-        # loop then updates them per dispatched batch / query.
-        queue_gauge = occupancy_hist = latency_hist = None
-        if telemetry.enabled():
-            registry = telemetry.get_registry()
-            labels = dict(
-                model=self.service_model.model,
-                platform=self.service_model.platform,
-            )
-            queue_gauge = registry.gauge("scheduler.queue_depth", **labels)
-            occupancy_hist = registry.histogram(
-                "scheduler.batch_occupancy",
-                min_value=1.0,
-                max_value=float(max(self.policy.max_batch, 2)),
-                exact_cap=0,
-                **labels,
-            )
-            latency_hist = registry.histogram(
-                "scheduler.query_latency_s", exact_cap=0, **labels
-            )
-            registry.counter("scheduler.runs", **labels).inc()
-
-        ts = self.timeseries
-        if ts is not None:
-            ts.count_many("arrivals", arrivals)
-        qt = self.querytrace
-        if qt is not None:
-            qt.begin_run(arrivals)
+        # (start, first query, size) per batch, for the registry metrics
+        # repro.telemetry.servelog derives after the loop.
+        log: Optional[list] = [] if telemetry.enabled() else None
 
         policy = self.policy
         latencies = np.empty(num_queries)
@@ -423,63 +332,14 @@ class QueryScheduler:
             finish = start + service
             latencies[i:j] = finish - arrivals[i:j]
             batch_sizes.append(batch)
-            if queue_gauge is not None:
-                # Queue depth at dispatch: everything that has arrived
-                # by `start` but not yet left with an earlier batch.
-                waiting = int(np.searchsorted(arrivals, start, side="right")) - i
-                queue_gauge.set(max(waiting, batch))
-                occupancy_hist.observe(batch)
-                latency_hist.observe_many(latencies[i:j])
-            if ts is not None:
-                waiting_ts = (
-                    int(np.searchsorted(arrivals, start, side="right")) - i
-                )
-                ts.count("batches", start)
-                ts.sample("batch_occupancy", start, batch)
-                ts.sample("queue_depth", start, max(waiting_ts, batch))
-                ts.count_interval("busy_s", start, finish)
-                ts.observe_many(
-                    "latency_s", np.full(batch, finish), latencies[i:j]
-                )
-                ts.count("completions", finish, batch)
-            if qt is not None:
-                # Copies of already-computed floats only: capture does
-                # no arithmetic that feeds back into the simulation.
-                close = (
-                    float(arrivals[j - 1])
-                    if batch == policy.max_batch
-                    else dispatch_at
-                )
-                platform = self.service_model.platform
-                # One immutable parts record per batch: every member
-                # shares the same service interval.
-                parts = ServiceParts(base_s=service)
-                for q in range(i, j):
-                    qt.attempt(q, AttemptEvent(
-                        attempt=0,
-                        ready=float(arrivals[q]),
-                        batch_close=close,
-                        start=start,
-                        end=finish,
-                        outcome="completed",
-                        server=platform,
-                        server_index=0,
-                        lane=0,
-                        parts=parts,
-                    ))
-                    qt.settle(q, float(latencies[q]), finish)
+            if log is not None:
+                log.append((start, i, batch))
             server_free_at = finish
             i = j
 
         duration = float(server_free_at - arrivals[0] + inter_arrivals[0])
-        if telemetry.enabled():
-            registry = telemetry.get_registry()
-            labels = dict(
-                model=self.service_model.model,
-                platform=self.service_model.platform,
-            )
-            registry.counter("scheduler.queries", **labels).inc(num_queries)
-            registry.counter("scheduler.batches", **labels).inc(len(batch_sizes))
+        if log is not None:
+            servelog.replay_plain(self, log, arrivals, latencies)
         return ScheduleResult(
             queries=num_queries,
             duration_s=duration,

@@ -312,19 +312,22 @@ class TestGatherModel:
         assert out.cached > 0
 
     def test_fault_windows_exported(self, rm2):
-        layout = _blind(rm2)
-        gather = ShardGatherModel(
-            layout, fault_plan=_slowdown_plan(layout.hottest().name)
-        )
-        windows = gather.fault_windows()
-        assert windows == [(layout.hottest().name, "slowdown", 0.0, 10.0)]
-        from repro.telemetry import TimeSeries
+        from repro.telemetry import TimeSeries, Tracer
+        from repro.telemetry.servelog import emit_fault_windows
 
+        layout = _blind(rm2)
+        target = layout.hottest().name
+        gather = ShardGatherModel(layout, fault_plan=_slowdown_plan(target))
         ts = TimeSeries(window_s=1.0)
-        gather.emit_fault_windows(ts)
+        tracer = Tracer()
+        emit_fault_windows(
+            ts, tracer, gather.fault_plan, layout.names, shard=True
+        )
+        spans = [(s.name, s.start_s, s.end_s) for s in tracer.spans()]
+        assert spans == [(f"{target}.slowdown", 0.0, 10.0)]
         names = ts.track_names()
         assert "faults.window_active_s" in names
-        assert f"shard.{layout.hottest().name}" in names
+        assert f"shard.{target}" in names
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Tests for per-query critical-path capture and ``repro explain``.
 
 Pins the tentpole contracts: capture is strictly observational (bit-
-identical schedules with capture on or off, across the plain scheduler,
-the resilient scheduler, and the sharded gather path), every retained
+identical schedules with capture on or off, across the resilient
+scheduler and the sharded gather path), every retained
 decomposition sums *exactly* (``==``) to its measured latency, the
 reservoir's tail-biased retention is deterministic and bounded, and the
 acceptance scenario — the 5x GPU throttle — attributes its p99 to the
@@ -21,13 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import SpeedupStudy
 from repro.explain import Explanation, explain_scenario, render_html
 from repro.ledger import diff_records, load_records
-from repro.models import build_model
 from repro.monitor import run_monitored_scenario
 from repro.resilience.faults import hashed_uniform
-from repro.runtime import BatchingPolicy, QueryScheduler, ServiceTimeModel
 from repro.telemetry.chrome_trace import (
     load_chrome_trace,
     querytrace_flow_events,
@@ -44,12 +41,6 @@ from repro.telemetry.querytrace import (
 QUERIES = 1200
 SEED = 2020
 THROTTLE = {"slowdown_multiplier": 5.0}
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    models = {n: build_model(n) for n in ("rm2", "rm3")}
-    return SpeedupStudy(models=models, batch_sizes=[1, 16, 256, 4096]).run()
 
 
 @pytest.fixture(scope="module")
@@ -78,23 +69,6 @@ def _monitored(scenario, *, capture, queries=600, **kwargs):
 
 class TestObservational:
     """Capture on vs off must be bit-identical — the PR 6 contract."""
-
-    def test_plain_scheduler_bit_identical(self, sweep):
-        stm = ServiceTimeModel(sweep, "rm3", "t4")
-        policy = BatchingPolicy(max_batch=64, batch_timeout_s=0.002)
-
-        def run(capture):
-            return QueryScheduler(
-                stm, policy, seed=3, querytrace=capture
-            ).run(2000, 400)
-
-        base = run(None)
-        qt = QueryTraceCapture()
-        traced = run(qt)
-        assert np.array_equal(base.latencies_s, traced.latencies_s)
-        assert base.batch_sizes == traced.batch_sizes
-        assert len(qt.records) == len(traced.latencies_s)
-        assert all(r.conservation_ok() for r in qt.records.values())
 
     def test_resilient_scheduler_bit_identical(self):
         base = _monitored("mixed", capture=None, fallback="gtx1080ti")

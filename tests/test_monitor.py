@@ -324,20 +324,6 @@ class TestBitIdentical:
 
         return service_model_for(build_model("rm1"), "t4", 64)
 
-    def test_query_scheduler_unchanged_by_timeseries(self, stm):
-        from repro.runtime import BatchingPolicy, QueryScheduler
-
-        def run(ts):
-            sched = QueryScheduler(
-                stm, BatchingPolicy(max_batch=64), seed=7, timeseries=ts
-            )
-            return sched.run(2000.0, num_queries=400)
-
-        plain = run(None)
-        observed = run(TimeSeries(window_s=0.01))
-        assert np.array_equal(plain.latencies_s, observed.latencies_s)
-        assert np.array_equal(plain.batch_sizes, observed.batch_sizes)
-
     def test_resilient_scheduler_unchanged_by_timeseries(self, stm):
         from repro.resilience import (
             FaultPlan,

@@ -450,39 +450,6 @@ class TestPolicies:
 
 
 class TestSchedulerIntegration:
-    def test_query_scheduler_delegates(self, gpu_stm, cpu_stm, lite_stm):
-        plan = FaultPlan(seed=2, servers={
-            "t4": ServerFaults(drops=DropSpec(0.05)),
-        })
-        scheduler = QueryScheduler(
-            gpu_stm, BatchingPolicy(), seed=11,
-            fault_plan=plan,
-            resilience=ResiliencePolicy(
-                retry=RetryPolicy(deadline_s=0.1)
-            ),
-            standbys=[cpu_stm],
-            degraded_model=lite_stm,
-        )
-        result = scheduler.run(3000, 300)
-        assert result.accounting_ok()
-        assert result.queries == 300
-        # Delegation mirrors a hand-built fleet exactly.
-        direct = ResilientScheduler(
-            [Replica("t4", gpu_stm, degraded_model=lite_stm),
-             Replica("broadwell", cpu_stm)],
-            BatchingPolicy(),
-            resilience=ResiliencePolicy(retry=RetryPolicy(deadline_s=0.1)),
-            fault_plan=plan, seed=11,
-        ).run(3000, 300)
-        np.testing.assert_array_equal(result.latencies_s, direct.latencies_s)
-
-    def test_duplicate_platform_standby_gets_unique_name(self, gpu_stm):
-        scheduler = QueryScheduler(
-            gpu_stm, BatchingPolicy(), seed=1, standbys=[gpu_stm],
-        )
-        result = scheduler.run(2000, 100)
-        assert result.accounting_ok()
-
     def test_replica_validation(self, gpu_stm):
         with pytest.raises(ValueError, match="at least one replica"):
             ResilientScheduler([], BatchingPolicy())
