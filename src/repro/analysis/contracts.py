@@ -1,8 +1,7 @@
 """Declarative registry of cross-implementation contracts.
 
 The stack pins several pairs of independent implementations to the same
-answer: scalar vs vectorized cost evaluators behind spec-mode, raw vs
-optimized graph numerics, the plain vs gather-augmented scheduler path,
+answer: raw vs optimized graph numerics, the plain vs gather-augmented scheduler path,
 framework lowerings vs their cost totals, live :class:`TimeSeries` vs
 shard-merged state, run-ledger records vs their re-recorded twins.
 Each invariant here is a named, self-describing oracle: a hypothesis
@@ -230,44 +229,7 @@ def _check_optimizer(example: Mapping[str, Any]) -> None:
             ) from exc
 
 
-# -- 3. spec-mode profile == numeric profile -------------------------------
-
-
-def _specmode_examples() -> st.SearchStrategy:
-    return st.fixed_dictionaries({
-        "model": _model_specs(),
-        "batch": st.sampled_from((1, 4, 16, 64)),
-        "platform": st.sampled_from(
-            ("broadwell", "cascade_lake", "gtx1080ti", "t4")
-        ),
-    })
-
-
-def _check_specmode(example: Mapping[str, Any]) -> None:
-    from repro.runtime.session import InferenceSession
-
-    model = _build_model(example["model"])
-    session = InferenceSession(model, example["platform"])
-    numeric = session.profile(example["batch"], mode="numeric")
-    spec = session.profile(example["batch"], mode="spec")
-    _require(
-        numeric.compute_seconds == spec.compute_seconds,
-        f"compute_seconds drifted: numeric={numeric.compute_seconds!r} "
-        f"spec={spec.compute_seconds!r}",
-    )
-    _require(
-        numeric.data_comm_seconds == spec.data_comm_seconds,
-        f"data_comm_seconds drifted: numeric={numeric.data_comm_seconds!r} "
-        f"spec={spec.data_comm_seconds!r}",
-    )
-    _require(
-        numeric.op_time_by_kind == spec.op_time_by_kind,
-        f"op_time_by_kind drifted: numeric={numeric.op_time_by_kind!r} "
-        f"spec={spec.op_time_by_kind!r}",
-    )
-
-
-# -- 4. verifier-inferred specs == executed shapes -------------------------
+# -- 3. verifier-inferred specs == executed shapes -------------------------
 
 
 def _verifier_examples() -> st.SearchStrategy:
@@ -307,7 +269,7 @@ def _check_verifier(example: Mapping[str, Any]) -> None:
         )
 
 
-# -- 5. ledger records byte-stable -----------------------------------------
+# -- 4. ledger records byte-stable -----------------------------------------
 
 
 def _ledger_examples() -> st.SearchStrategy:
@@ -336,7 +298,7 @@ def _check_ledger(example: Mapping[str, Any]) -> None:
     )
 
 
-# -- 6. scheduler conservation under faults × policies ---------------------
+# -- 5. scheduler conservation under faults × policies ---------------------
 
 
 def _scheduler_examples() -> st.SearchStrategy:
@@ -449,7 +411,7 @@ def _check_scheduler(example: Mapping[str, Any]) -> None:
     )
 
 
-# -- 6b. query-trace decomposition: exact sum, zero perturbation ------------
+# -- 5b. query-trace decomposition: exact sum, zero perturbation ------------
 
 
 def _querytrace_examples() -> st.SearchStrategy:
@@ -539,7 +501,7 @@ def _check_querytrace(example: Mapping[str, Any]) -> None:
         )
 
 
-# -- 7. single-shard colocation bit-identical ------------------------------
+# -- 6. single-shard colocation bit-identical ------------------------------
 
 
 def _colocation_examples() -> st.SearchStrategy:
@@ -565,7 +527,7 @@ def _check_colocation(example: Mapping[str, Any]) -> None:
     model = build_model(example["model"])
     session = InferenceSession(model, "broadwell")
     stm = ServiceTimeModel.from_profiles([
-        session.profile(b, mode="spec") for b in (1, 64)
+        session.profile(b) for b in (1, 64)
     ])
     gather = ShardGatherModel(
         build_layout(model, 1),
@@ -599,7 +561,7 @@ def _check_colocation(example: Mapping[str, Any]) -> None:
     )
 
 
-# -- 8. TimeSeries shard-merge losslessness --------------------------------
+# -- 7. TimeSeries shard-merge losslessness --------------------------------
 
 
 def _timeseries_examples() -> st.SearchStrategy:
@@ -677,12 +639,6 @@ CONTRACTS: Tuple[Contract, ...] = (
         "optimize(graph) preserves executed outputs within documented "
         "float tolerance on random models and batches",
         _optimizer_examples, _check_optimizer, cost=0.05,
-    ),
-    Contract(
-        "spec_numeric_equivalence",
-        "spec-mode profiles equal numeric-mode profiles exactly "
-        "(compute, data-comm, per-kind op time)",
-        _specmode_examples, _check_specmode, cost=0.02,
     ),
     Contract(
         "verifier_spec_inference",

@@ -105,7 +105,7 @@ LINT_RULES: Dict[str, LintRule] = {
         LintRule(
             "REP007", "unknown-noqa",
             "noqa comment names a rule id this toolchain does not define",
-            "fix the rule id (REPnnn / GVnnn) or drop the dead suppression",
+            "fix the rule id (REPnnn) or drop the dead suppression",
         ),
     )
 }
@@ -425,12 +425,6 @@ def lint_source(
     ]
 
 
-def _known_rule_ids() -> Set[str]:
-    from repro.analysis.twins import TWIN_RULES
-
-    return set(LINT_RULES) | set(TWIN_RULES)
-
-
 def _comment_tokens(source: str) -> List[Tuple[int, str]]:
     """(line, text) of every real comment — string literals that merely
     *contain* noqa-looking text (e.g. linter test fixtures) don't count."""
@@ -450,7 +444,7 @@ def _unknown_noqa(
     """WARNING for each noqa comment naming an undefined rule id."""
     if select is not None and "REP007" not in select:
         return []
-    known = _known_rule_ids()
+    known = set(LINT_RULES)
     rule = LINT_RULES["REP007"]
     out: List[Diagnostic] = []
     for lineno, text in _comment_tokens(source):

@@ -99,17 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("characterize", help="cross-stack report for one config")
     p.add_argument("model", choices=MODEL_ORDER)
     p.add_argument("--platform", default="broadwell")
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--batch", type=_positive_int, default=16)
 
     p = sub.add_parser("sweep", help="speedup-over-Broadwell table (Fig 3)")
     p.add_argument("--models", nargs="*", default=None, choices=MODEL_ORDER)
-    p.add_argument("--batches", nargs="*", type=int, default=_PAPER_BATCHES)
+    p.add_argument("--batches", nargs="*", type=_positive_int,
+                   default=_PAPER_BATCHES)
     _add_workers_arg(p)
     p.add_argument(
         "--mode", choices=["numeric", "spec"], default="numeric",
-        help="profile mode: 'numeric' walks the scalar cost models, "
-        "'spec' evaluates cached workload tables (identical results, "
-        "no tensor data)",
+        help="how the one cost evaluator covers the grid: 'numeric' "
+        "cell by cell (parallel with --workers), 'spec' as one stacked "
+        "evaluation per platform (identical results)",
     )
     _add_sink_args(
         p, text_only=True,
@@ -119,16 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed stamped into recorded fingerprints")
 
     p = sub.add_parser("optimal", help="optimal-platform grid (Fig 5)")
-    p.add_argument("--batches", nargs="*", type=int, default=_PAPER_BATCHES)
+    p.add_argument("--batches", nargs="*", type=_positive_int,
+                   default=_PAPER_BATCHES)
     _add_workers_arg(p)
 
     p = sub.add_parser("topdown", help="TopDown table on both CPUs (Fig 8)")
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--batch", type=_positive_int, default=16)
 
     p = sub.add_parser("breakdown", help="operator time shares (Fig 6)")
     p.add_argument("model", choices=MODEL_ORDER)
     p.add_argument("--platform", default="broadwell")
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--batch", type=_positive_int, default=64)
 
     sub.add_parser(
         "claims", help="verify every encoded paper claim against the models"
@@ -362,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sink_args(p)
     p.add_argument("--select", default=None,
                    help="comma-separated rule ids to enable (default: all)")
-    p.add_argument("--no-twins", action="store_true",
-                   help="skip the GV2xx scalar-vs-vectorized twin-drift pass")
 
     p = sub.add_parser(
         "fuzz", help="differential fuzzing of cross-implementation contracts",
@@ -387,13 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--models", nargs="*", default=None, choices=MODEL_ORDER,
                    help="models to verify (default: all eight)")
-    p.add_argument("--batches", nargs="*", type=int, default=[1, 64, 16384])
+    p.add_argument("--batches", nargs="*", type=_positive_int,
+                   default=[1, 64, 16384])
     _add_sink_args(p)
     return parser
 
 
 def _add_workers_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel sweep workers (1 = serial; results are "
                    "identical)")
 
@@ -1168,7 +1169,7 @@ def _cmd_check(args) -> Tuple[str, int]:
 
 
 def _cmd_lint(args) -> Tuple[str, int]:
-    from repro.analysis import analyze_twins, lint_paths
+    from repro.analysis import lint_paths
 
     select = None
     if args.select:
@@ -1177,12 +1178,6 @@ def _cmd_lint(args) -> Tuple[str, int]:
     if missing:
         raise FileNotFoundError(f"no such path: {', '.join(missing)}")
     report = lint_paths(args.paths, select=select)
-    if not args.no_twins:
-        selected = {r.upper() for r in select} if select else None
-        report.extend(
-            d for d in analyze_twins()
-            if selected is None or d.rule in selected
-        )
     text = report.to_json() if args.format == "json" else report.render_text()
     return text, report.exit_code(strict=args.strict)
 

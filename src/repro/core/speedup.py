@@ -159,12 +159,16 @@ class SpeedupStudy:
     ) -> SweepResult:
         """Profile every (model, platform, batch) cell.
 
-        ``profile_mode="spec"`` evaluates the whole grid through the
-        workload-table path (:mod:`repro.runtime.specmode`): one
-        vectorized evaluation per platform, bit-identical profiles, no
-        tensor data and no per-node model walk. Spec sweeps are single
-        evaluations by construction, so ``workers``/``mode`` are
-        ignored there.
+        Both profile modes run the one cost evaluator
+        (:mod:`repro.runtime.specmode`) and return identical profiles;
+        they differ in how the grid is cut:
+
+        * ``profile_mode="numeric"`` profiles cell by cell — one
+          :meth:`InferenceSession.profile` call per cell — so the
+          (model, platform) cells can fan out over a pool;
+        * ``profile_mode="spec"`` stacks every (model, batch) table and
+          evaluates each platform once over the whole grid; repeated
+          identical sweeps come from a memo. ``workers`` is ignored.
 
         For ``profile_mode="numeric"``, ``workers > 1`` fans the
         (model, platform) cells out over a persistent
@@ -187,11 +191,15 @@ class SpeedupStudy:
           the ``sweep.pool_mode`` telemetry counter when telemetry is
           enabled.
 
-        Results are merged in the canonical serial order, so parallel,
-        serial, and spec sweeps are profile-for-profile identical.
+        Both arguments are validated up front, whatever the worker
+        count. Results are merged in the canonical serial order, so
+        parallel, serial, and spec sweeps are profile-for-profile
+        identical.
         """
         if profile_mode not in ("numeric", "spec"):
             raise ValueError(f"unknown profile mode {profile_mode!r}")
+        if mode not in ("auto", "thread", "process"):
+            raise ValueError(f"unknown sweep mode {mode!r}")
         if profile_mode == "spec":
             from repro.runtime import specmode
 
@@ -255,8 +263,6 @@ class SpeedupStudy:
         workers: int,
         mode: str,
     ) -> List[List[Tuple[int, InferenceProfile]]]:
-        if mode not in ("auto", "thread", "process"):
-            raise ValueError(f"unknown sweep mode {mode!r}")
         if mode == "auto":
             mode = (
                 "process"

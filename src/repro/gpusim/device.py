@@ -6,94 +6,25 @@ End-to-end GPU inference time =
   + per-graph framework/synchronization overhead
   + sum of per-operator device times (launch + roofline).
 
-The split between "data communication" and "model computation" is kept
-explicit because Fig 4 reports exactly that ratio.
+``GpuModel`` profiles one graph as a one-cell evaluation of
+:func:`~repro.gpusim.vectorized.profile_cells_gpu`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro import telemetry
 from repro.graph.graph import Graph
 from repro.hw.platform import GpuSpec
-from repro.gpusim.kernels import KernelCostModel, OpDeviceProfile
-from repro.gpusim.pcie import PcieModel, TransferProfile
+from repro.gpusim.vectorized import (
+    GpuGraphProfile,
+    GpuOpProfile,
+    profile_cells_gpu,
+)
+from repro.ops.tables import stack_tables, table_from_graph, table_from_workloads
+from repro.ops.workload import OpWorkload
 
 __all__ = ["GpuOpProfile", "GpuGraphProfile", "GpuModel"]
-
-#: Fixed per-inference framework overhead: stream setup, output
-#: readback, device synchronization (seconds).
-_SYNC_OVERHEAD_S = 15e-6
-
-
-@dataclass
-class GpuOpProfile:
-    node_name: str
-    op_kind: str
-    device: OpDeviceProfile
-
-    @property
-    def seconds(self) -> float:
-        return self.device.seconds
-
-
-@dataclass
-class GpuGraphProfile:
-    platform: str
-    graph_name: str
-    op_profiles: List[GpuOpProfile]
-    transfer: TransferProfile
-    sync_seconds: float
-
-    @property
-    def compute_seconds(self) -> float:
-        return sum(p.seconds for p in self.op_profiles)
-
-    @property
-    def data_comm_seconds(self) -> float:
-        """CPU-GPU communication + framework overhead (Fig 4)."""
-        return self.transfer.seconds + self.sync_seconds
-
-    @property
-    def total_seconds(self) -> float:
-        return self.compute_seconds + self.data_comm_seconds
-
-    @property
-    def data_comm_fraction(self) -> float:
-        total = self.total_seconds
-        return self.data_comm_seconds / total if total else 0.0
-
-    @property
-    def kernel_launches(self) -> int:
-        return sum(p.device.kernel_count for p in self.op_profiles)
-
-    @property
-    def launch_seconds(self) -> float:
-        return sum(p.device.launch_seconds for p in self.op_profiles)
-
-    def time_decomposition(self) -> Dict[str, float]:
-        """Where the device time goes: launches vs math vs memory.
-
-        Per-kernel time is launch + max(compute, memory); the max is
-        attributed to whichever term binds.
-        """
-        out = {"launch": 0.0, "compute": 0.0, "memory": 0.0}
-        for p in self.op_profiles:
-            out["launch"] += p.device.launch_seconds
-            if p.device.compute_seconds >= p.device.memory_seconds:
-                out["compute"] += p.device.compute_seconds
-            else:
-                out["memory"] += p.device.memory_seconds
-        return out
-
-    def time_by_kind(self) -> Dict[str, float]:
-        """Device seconds per operator kind (the Fig 6 GPU panels)."""
-        out: Dict[str, float] = {}
-        for p in self.op_profiles:
-            out[p.op_kind] = out.get(p.op_kind, 0.0) + p.seconds
-        return out
 
 
 class GpuModel:
@@ -101,8 +32,6 @@ class GpuModel:
 
     def __init__(self, spec: GpuSpec) -> None:
         self.spec = spec
-        self.kernel_model = KernelCostModel(spec)
-        self.pcie = PcieModel(spec)
 
     def profile_graph(
         self, graph: Graph, input_tensor_bytes: Optional[Sequence[int]] = None
@@ -111,34 +40,23 @@ class GpuModel:
             input_tensor_bytes = [
                 graph.spec_of(name).nbytes for name in graph.input_names
             ]
-        transfer = self.pcie.batch_transfer(list(input_tensor_bytes))
+        stacked = stack_tables([table_from_graph(graph, input_tensor_bytes)])
+        return profile_cells_gpu(stacked, self.spec)[0]
 
-        op_profiles = []
-        for node in graph.nodes:
-            input_specs = [graph.spec_of(s) for s in node.inputs]
-            workload = node.op.workload(input_specs)
-            op_profiles.append(
-                GpuOpProfile(
-                    node_name=node.name,
-                    op_kind=node.kind,
-                    device=self.kernel_model.profile(workload),
+    def profile_workloads(
+        self,
+        graph_name: str,
+        names: List[str],
+        kinds: List[str],
+        workloads: List[OpWorkload],
+        input_tensor_bytes: Sequence[int] = (),
+    ) -> GpuGraphProfile:
+        """Profile hand-built workloads as one graph (nodes in order)."""
+        stacked = stack_tables(
+            [
+                table_from_workloads(
+                    graph_name, names, kinds, workloads, input_tensor_bytes
                 )
-            )
-        profile = GpuGraphProfile(
-            platform=self.spec.microarchitecture,
-            graph_name=graph.name,
-            op_profiles=op_profiles,
-            transfer=transfer,
-            sync_seconds=_SYNC_OVERHEAD_S,
+            ]
         )
-        if telemetry.enabled():
-            registry = telemetry.get_registry()
-            labels = dict(platform=self.spec.microarchitecture, graph=graph.name)
-            registry.counter("gpusim.graphs_profiled", **labels).inc()
-            registry.counter(
-                "gpusim.kernel_launches", **labels
-            ).inc(profile.kernel_launches)
-            registry.counter(
-                "gpusim.pcie_bytes", **labels
-            ).inc(sum(input_tensor_bytes))
-        return profile
+        return profile_cells_gpu(stacked, self.spec)[0]

@@ -1,4 +1,4 @@
-"""Per-operator GPU kernel cost model (roofline + overheads).
+"""Per-operator GPU kernel cost constants (roofline + overheads).
 
 Each operator lowers to ``kernel_launches`` device kernels. A kernel
 costs a launch overhead plus the larger of its compute time and its
@@ -17,7 +17,8 @@ memory time:
 Class efficiencies are calibrated against the paper's end-to-end
 speedup envelope (~15x max for the FC-heavy models over Broadwell);
 the mechanisms (occupancy scaling, launch floors, gather penalties)
-are what produce every crossover.
+are what produce every crossover. The arithmetic over these constants
+lives in :func:`repro.gpusim.vectorized.profile_cells_gpu`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.hw.platform import GpuSpec
-from repro.ops.workload import OpWorkload, RANDOM
 
 __all__ = ["KernelCostModel", "OpDeviceProfile", "COMPUTE_EFFICIENCY"]
 
@@ -99,95 +99,11 @@ class OpDeviceProfile:
 
 
 class KernelCostModel:
+    """Per-platform kernel constants: class and architecture efficiency."""
+
     def __init__(self, spec: GpuSpec) -> None:
         self.spec = spec
         self.arch_factor = _ARCH_EFFICIENCY.get(spec.microarchitecture, 1.0)
 
     def class_efficiency(self, op_kind: str) -> float:
         return COMPUTE_EFFICIENCY.get(op_kind, _DEFAULT_COMPUTE_EFFICIENCY)
-
-    def occupancy(self, parallel_items_per_kernel: float) -> float:
-        """SM-fill fraction as a function of per-kernel parallelism.
-
-        A kernel's exploitable parallelism is roughly its output
-        elements (one thread each). Kernels narrower than the machine's
-        resident-thread capacity leave SMs idle — the reason small
-        batches and DIN's per-lookup units underutilize GPUs. The
-        sub-linear exponent reflects latency hiding: a partially-filled
-        machine still overlaps memory and math within its warps.
-        """
-        capacity = self.spec.sm_count * _THREADS_PER_SM
-        fill = parallel_items_per_kernel / (parallel_items_per_kernel + capacity)
-        return fill**0.6
-
-    @staticmethod
-    def parallel_items(workload: OpWorkload) -> float:
-        """Output elements per kernel (fp32 words written)."""
-        kernels = max(workload.kernel_launches, 1)
-        written = workload.bytes_written / 4.0
-        if written <= 0:
-            # Fall back to flop-derived width for write-free ops.
-            written = workload.flops / 64.0
-        return max(written / kernels, 1.0)
-
-    def memory_bytes(self, workload: OpWorkload) -> "tuple[float, float]":
-        """(sequential_bytes, random_bytes) of device-memory traffic.
-
-        Streams with high locality hit the device L2; charge their
-        footprint instead of their total traffic.
-        """
-        seq = 0.0
-        rand = 0.0
-        for stream in workload.streams:
-            # Locality-covered re-touches are served by the device L2:
-            # they cost at most one pass over the (touched part of the)
-            # footprint rather than the full access volume.
-            cached = min(stream.footprint_bytes, stream.total_bytes)
-            traffic = (
-                stream.locality * cached
-                + (1.0 - stream.locality) * stream.total_bytes
-            )
-            if stream.pattern == RANDOM:
-                rand += traffic
-            else:
-                seq += traffic
-        return seq, rand
-
-    def profile(self, workload: OpWorkload) -> OpDeviceProfile:
-        spec = self.spec
-        kernels = max(workload.kernel_launches, 0)
-        launch_seconds = kernels * spec.kernel_launch_us * 1e-6
-        if kernels == 0:
-            return OpDeviceProfile(workload.op_kind, 0, 0.0, 0.0, 0.0)
-
-        efficiency = (
-            self.class_efficiency(workload.op_kind)
-            * self.arch_factor
-            * self.occupancy(self.parallel_items(workload))
-        )
-        peak_flops = spec.peak_fp32_tflops * 1e12
-        compute_seconds = (
-            workload.flops / (peak_flops * efficiency) if workload.flops else 0.0
-        )
-
-        seq_bytes, rand_bytes = self.memory_bytes(workload)
-        bw = spec.dram_bandwidth_gbps * 1e9
-        rand_eff = _RANDOM_BW_EFFICIENCY.get(
-            spec.ddr_type, _DEFAULT_RANDOM_BW_EFFICIENCY
-        )
-        memory_seconds = (
-            seq_bytes / (bw * _SEQUENTIAL_BW_EFFICIENCY)
-            + rand_bytes / (bw * rand_eff)
-        )
-        if any(s.pattern == RANDOM and not s.is_write for s in workload.streams):
-            gather_latency = _GATHER_LATENCY_US.get(
-                spec.ddr_type, _DEFAULT_GATHER_LATENCY_US
-            )
-            memory_seconds += kernels * gather_latency * 1e-6
-        return OpDeviceProfile(
-            op_kind=workload.op_kind,
-            kernel_count=kernels,
-            launch_seconds=launch_seconds,
-            compute_seconds=compute_seconds,
-            memory_seconds=memory_seconds,
-        )

@@ -1,47 +1,63 @@
-"""Vectorized GPU cost evaluation over stacked workload tables.
+"""The GPU cost model: workload tables -> per-kernel roofline times.
 
-Mirrors :class:`repro.gpusim.kernels.KernelCostModel` and
-:class:`repro.gpusim.device.GpuModel` term for term on
-``(cells, nodes)`` arrays — association order preserved so results are
-bit-identical to the scalar path (pinned in ``tests/test_specmode.py``).
-Two pieces intentionally reuse the original scalar code:
+:func:`profile_cells_gpu` evaluates any number of stacked graphs
+("cells") on one GPU on ``(cells, nodes)`` arrays; profiling one graph
+is the one-cell case (:class:`~repro.gpusim.device.GpuModel`). Each
+operator lowers to ``kernel_launches`` device kernels, each costing a
+launch overhead plus the larger of
 
-* the occupancy curve's ``fill ** 0.6`` (NumPy's float pow is not
-  bit-equal to CPython's) runs as a per-node Python loop;
-* PCIe transfers run through the real
-  :meth:`~repro.gpusim.pcie.PcieModel.batch_transfer` per cell (one
-  call per cell; the per-tensor latency sum is not worth mirroring).
+* compute time = flops / (peak * class_efficiency * arch * occupancy),
+  where occupancy ``fill ** 0.6`` rises with per-kernel parallelism
+  (output fp32 words per kernel; small kernels cannot fill the SMs,
+  which is what makes small-batch inference GPU-hostile), and
+* memory time = bytes / (bandwidth * pattern efficiency), plus a
+  per-kernel latency floor for irregular gathers.
+
+End-to-end GPU inference time adds one PCIe transfer per input tensor
+(:meth:`~repro.gpusim.pcie.PcieModel.batch_transfer`, one call per cell)
+and a fixed per-graph synchronization overhead; the split between data
+communication and model computation is kept explicit because Fig 4
+reports exactly that ratio. The occupancy pow runs as a per-node Python
+loop (CPython's float pow).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro import telemetry
 from repro.gpusim import kernels as _kernels
-from repro.gpusim.device import _SYNC_OVERHEAD_S, GpuOpProfile
 from repro.gpusim.kernels import KernelCostModel, OpDeviceProfile
 from repro.gpusim.pcie import PcieModel, TransferProfile
 from repro.hw.platform import GpuSpec
+from repro.ops.tables import StackedTables
 
-__all__ = ["SpecGpuGraphProfile", "profile_cells_gpu"]
+__all__ = ["GpuOpProfile", "GpuGraphProfile", "profile_cells_gpu"]
 
-
-class _GpuArrays:
-    """Bag of (cells, nodes) result arrays for lazy materialization."""
-
-    def __init__(self, **arrays: np.ndarray) -> None:
-        for name, arr in arrays.items():
-            setattr(self, name, arr)
+#: Fixed per-inference framework overhead: stream setup, output
+#: readback, device synchronization (seconds).
+_SYNC_OVERHEAD_S = 15e-6
 
 
-class SpecGpuGraphProfile:
-    """Duck-typed :class:`~repro.gpusim.device.GpuGraphProfile`.
+@dataclass
+class GpuOpProfile:
+    node_name: str
+    op_kind: str
+    device: OpDeviceProfile
+
+    @property
+    def seconds(self) -> float:
+        return self.device.seconds
+
+
+class GpuGraphProfile:
+    """Whole-graph GPU profile.
 
     ``compute_seconds`` and per-kind times are eager; per-op
-    :class:`~repro.gpusim.device.GpuOpProfile` rows materialize lazily.
+    :class:`GpuOpProfile` rows materialize lazily.
     """
 
     def __init__(
@@ -52,7 +68,7 @@ class SpecGpuGraphProfile:
         sync_seconds: float,
         compute_seconds: float,
         time_by_kind: Dict[str, float],
-        arrays: "_GpuArrays",
+        arrays: Dict[str, np.ndarray],
         cell_index: int,
         names: List[str],
         kinds: List[str],
@@ -73,6 +89,7 @@ class SpecGpuGraphProfile:
 
     @property
     def data_comm_seconds(self) -> float:
+        """CPU-GPU communication + framework overhead (Fig 4)."""
         return self.transfer.seconds + self.sync_seconds
 
     @property
@@ -85,6 +102,7 @@ class SpecGpuGraphProfile:
         return self.data_comm_seconds / total if total else 0.0
 
     def time_by_kind(self) -> Dict[str, float]:
+        """Device seconds per operator kind (the Fig 6 GPU panels)."""
         return dict(self._time_by_kind)
 
     @property
@@ -102,6 +120,11 @@ class SpecGpuGraphProfile:
         return sum(p.device.launch_seconds for p in self.op_profiles)
 
     def time_decomposition(self) -> Dict[str, float]:
+        """Where the device time goes: launches vs math vs memory.
+
+        Per-kernel time is launch + max(compute, memory); the max is
+        attributed to whichever term binds.
+        """
         out = {"launch": 0.0, "compute": 0.0, "memory": 0.0}
         for p in self.op_profiles:
             out["launch"] += p.device.launch_seconds
@@ -112,33 +135,25 @@ class SpecGpuGraphProfile:
         return out
 
     def _materialize(self) -> List[GpuOpProfile]:
-        a, i = self._arrays, self._cell
-        n = len(self._names)
-        kernels = a.kernels[i, :n].tolist()
-        launch = a.launch[i, :n].tolist()
-        compute = a.compute[i, :n].tolist()
-        memory = a.memory[i, :n].tolist()
-        profiles = []
-        for j, (name, kind, wl_kind) in enumerate(
-            zip(self._names, self._kinds, self._wl_kinds)
-        ):
-            if kernels[j] == 0:
-                device = OpDeviceProfile(wl_kind, 0, 0.0, 0.0, 0.0)
-            else:
-                device = OpDeviceProfile(
-                    op_kind=wl_kind,
-                    kernel_count=int(kernels[j]),
-                    launch_seconds=launch[j],
-                    compute_seconds=compute[j],
-                    memory_seconds=memory[j],
-                )
-            profiles.append(
-                GpuOpProfile(node_name=name, op_kind=kind, device=device)
+        i, n = self._cell, len(self._names)
+        rows = {name: arr[i, :n].tolist() for name, arr in self._arrays.items()}
+        return [
+            GpuOpProfile(
+                node_name=name,
+                op_kind=kind,
+                device=OpDeviceProfile(
+                    op_kind=wl_kind, **{f: rows[f][j] for f in rows}
+                ),
             )
-        return profiles
+            for j, (name, kind, wl_kind) in enumerate(
+                zip(self._names, self._kinds, self._wl_kinds)
+            )
+        ]
 
 
-def profile_cells_gpu(stacked, spec: GpuSpec) -> List[SpecGpuGraphProfile]:
+def profile_cells_gpu(
+    stacked: StackedTables, spec: GpuSpec
+) -> List[GpuGraphProfile]:
     """Profile every stacked cell on one GPU spec."""
     st = stacked
     valid = st.valid
@@ -146,8 +161,8 @@ def profile_cells_gpu(stacked, spec: GpuSpec) -> List[SpecGpuGraphProfile]:
     pcie = PcieModel(spec)
 
     # Per-node class efficiency x architecture factor (dict lookups per
-    # node; COMPUTE_EFFICIENCY is consulted at call time like the
-    # scalar model, so registered kinds take effect immediately).
+    # node; COMPUTE_EFFICIENCY is consulted at call time, so registered
+    # kinds take effect immediately).
     ce_arch = np.zeros(valid.shape, dtype=np.float64)
     for i, cell in enumerate(st.cells):
         ce_arch[i, : cell.n] = [
@@ -169,7 +184,8 @@ def profile_cells_gpu(stacked, spec: GpuSpec) -> List[SpecGpuGraphProfile]:
         capacity = spec.sm_count * _kernels._THREADS_PER_SM
         fill = parallel_items / (parallel_items + capacity)
 
-    # occupancy: scalar pow, exactly KernelCostModel.occupancy.
+    # Occupancy: sub-linear in fill, reflecting latency hiding — a
+    # partially-filled machine still overlaps memory and math.
     occ = np.zeros(valid.shape, dtype=np.float64)
     for i, cell in enumerate(st.cells):
         fill_row = fill[i, : cell.n].tolist()
@@ -203,21 +219,22 @@ def profile_cells_gpu(stacked, spec: GpuSpec) -> List[SpecGpuGraphProfile]:
         seconds = np.where(active, launch + np.maximum(compute, memory), 0.0)
         total_seconds = np.where(valid, seconds, 0.0).cumsum(axis=1)[:, -1]
 
-    arrays = _GpuArrays(
-        kernels=np.where(active, kernels, 0),
-        launch=launch,
-        compute=np.where(active, compute, 0.0),
-        memory=np.where(active, memory, 0.0),
+    # Zero-kernel (view) ops cost nothing: launch is 0 * overhead.
+    arrays = dict(
+        kernel_count=np.where(active, kernels, 0),
+        launch_seconds=launch,
+        compute_seconds=np.where(active, compute, 0.0),
+        memory_seconds=np.where(active, memory, 0.0),
     )
 
-    profiles: List[SpecGpuGraphProfile] = []
+    profiles: List[GpuGraphProfile] = []
     for i, cell in enumerate(st.cells):
         transfer = pcie.batch_transfer(list(cell.input_nbytes))
         secs_row = seconds[i, : cell.n].tolist()
         time_by_kind: Dict[str, float] = {}
         for kind, sec in zip(cell.kinds, secs_row):
             time_by_kind[kind] = time_by_kind.get(kind, 0.0) + sec
-        profile = SpecGpuGraphProfile(
+        profile = GpuGraphProfile(
             platform=spec.microarchitecture,
             graph_name=cell.graph_name,
             transfer=transfer,

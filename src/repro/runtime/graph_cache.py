@@ -22,7 +22,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import telemetry
 from repro.analysis import assert_verified
@@ -35,8 +35,18 @@ __all__ = [
     "clear_graph_cache",
     "graph_cache_stats",
     "bypass_graph_cache",
+    "model_signature",
     "signature_digest",
 ]
+
+
+def model_signature(model) -> Tuple:
+    """A model's structural graph signature (identity for others)."""
+    return (
+        model.graph_signature()
+        if hasattr(model, "graph_signature")
+        else ("id", id(model))
+    )
 
 
 def signature_digest(model) -> str:
@@ -49,11 +59,7 @@ def signature_digest(model) -> str:
     an explicitly unstable ``"id:..."`` digest so records never claim a
     stable identity they don't have.
     """
-    signature = (
-        model.graph_signature()
-        if hasattr(model, "graph_signature")
-        else ("id", id(model))
-    )
+    signature = model_signature(model)
     if len(signature) >= 2 and signature[-2] == "id":
         return f"id:{signature[-1]:x}"
     return hashlib.blake2b(
@@ -93,24 +99,20 @@ class GraphCache:
         self._hits = 0
         self._misses = 0
 
-    @staticmethod
-    def _key(model, batch_size: int) -> Tuple:
-        signature = (
-            model.graph_signature()
-            if hasattr(model, "graph_signature")
-            else ("id", id(model))
-        )
-        return (getattr(model, "name", type(model).__name__), batch_size, signature)
-
-    def get(self, model, batch_size: int) -> Graph:
+    def get(
+        self, model, batch_size: int, signature: Optional[Tuple] = None
+    ) -> Graph:
         """The cached graph for ``(model, batch_size)``, building on miss.
 
-        The build happens under the cache lock: with lazy parameters a
-        build is cheap (shape inference only), and holding the lock
-        keeps concurrent sweep workers from building the same graph
-        twice.
+        ``signature`` is ``model_signature(model)`` when the caller
+        already has it. The build happens under the cache lock: with
+        lazy parameters a build is cheap (shape inference only), and
+        holding the lock keeps concurrent sweep workers from building
+        the same graph twice.
         """
-        key = self._key(model, batch_size)
+        if signature is None:
+            signature = model_signature(model)
+        key = (getattr(model, "name", type(model).__name__), batch_size, signature)
         with self._lock:
             graph = self._graphs.get(key)
             if graph is not None:
@@ -153,11 +155,19 @@ _GLOBAL = GraphCache()
 _bypass = False
 
 
-def get_graph(model, batch_size: int) -> Graph:
-    """Fetch (or build) a graph from the process-level cache."""
+def get_graph(
+    model, batch_size: int, signature: Optional[Tuple] = None
+) -> Graph:
+    """Fetch (or build) a graph from the process-level cache.
+
+    Every profile reaches its graph through here, so this is where a
+    batch size below 1 is rejected.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
     if _bypass:
         return model.build_graph(batch_size)
-    return _GLOBAL.get(model, batch_size)
+    return _GLOBAL.get(model, batch_size, signature)
 
 
 def clear_graph_cache() -> None:

@@ -19,11 +19,11 @@ import numpy as np
 from repro import telemetry
 from repro.graph import Graph, execute
 from repro.runtime import graph_cache
-from repro.gpusim import GpuGraphProfile, GpuModel
+from repro.gpusim import GpuGraphProfile
 from repro.hw import PlatformSpec, platform_by_name
 from repro.models import RecommendationModel
 from repro.telemetry import MODELED_TID, Span
-from repro.uarch import CpuGraphProfile, CpuModel, PmuEvents, UarchConstants
+from repro.uarch import CpuGraphProfile, PmuEvents, UarchConstants
 from repro.workloads import QueryGenerator
 
 __all__ = [
@@ -132,9 +132,7 @@ def profile_spans(profile: InferenceProfile, t0: float = 0.0) -> List[Span]:
     cursor = t0 + profile.data_comm_seconds
     spans: List[Span] = []
     for op in raw.op_profiles:
-        seconds = (
-            op._time_seconds if hasattr(op, "_time_seconds") else op.seconds
-        )
+        seconds = op.seconds
         spans.append(
             Span(
                 name=op.node_name,
@@ -167,15 +165,9 @@ class InferenceSession:
         self.platform = (
             platform_by_name(platform) if isinstance(platform, str) else platform
         )
+        if constants is not None and self.platform.kind != "cpu":
+            raise ValueError("uarch constants only apply to CPU platforms")
         self._constants = constants
-        if self.platform.kind == "cpu":
-            self._cpu_model: Optional[CpuModel] = CpuModel(self.platform, constants)
-            self._gpu_model: Optional[GpuModel] = None
-        else:
-            if constants is not None:
-                raise ValueError("uarch constants only apply to CPU platforms")
-            self._cpu_model = None
-            self._gpu_model = GpuModel(self.platform)
 
     def graph(self, batch_size: int) -> Graph:
         return graph_cache.get_graph(self.model, batch_size)
@@ -207,39 +199,11 @@ class InferenceSession:
 
     # -- performance modeling --------------------------------------------------
 
-    def profile(
-        self, batch_size: int, mode: str = "numeric"
-    ) -> InferenceProfile:
-        """Model one inference.
+    def profile(self, batch_size: int) -> InferenceProfile:
+        """Model one inference: a one-cell evaluation of the cost model
+        over the cached workload table (no tensor data is allocated)."""
+        from repro.runtime import specmode
 
-        ``mode="numeric"`` walks the graph through the scalar uarch /
-        gpusim models. ``mode="spec"`` evaluates the same costs from
-        the cached workload table (:mod:`repro.runtime.specmode`) —
-        bit-identical results, no per-node Python model walk, and no
-        tensor data ever allocated.
-        """
-        if mode not in ("numeric", "spec"):
-            raise ValueError(f"unknown profile mode {mode!r}")
-        if mode == "spec":
-            from repro.runtime import specmode
-
-            with telemetry.get_tracer().span(
-                "session.profile",
-                category="session",
-                model=self.model.name,
-                platform=self.platform.name,
-                batch_size=batch_size,
-                mode="spec",
-            ):
-                profile = specmode.profile_spec(
-                    self.model,
-                    self.platform,
-                    batch_size,
-                    constants=self._constants,
-                )
-            if telemetry.enabled():
-                self._record_profile_telemetry(profile)
-            return profile
         with telemetry.get_tracer().span(
             "session.profile",
             category="session",
@@ -247,41 +211,9 @@ class InferenceSession:
             platform=self.platform.name,
             batch_size=batch_size,
         ):
-            graph = self.graph(batch_size)
-            input_bytes = [
-                desc.spec.nbytes
-                for desc in self.model.input_descriptions(batch_size)
-            ]
-            if self._cpu_model is not None:
-                raw = self._cpu_model.profile_graph(
-                    graph, input_bytes=sum(input_bytes)
-                )
-                profile = InferenceProfile(
-                    model_name=self.model.name,
-                    platform_name=self.platform.name,
-                    platform_kind="cpu",
-                    batch_size=batch_size,
-                    compute_seconds=raw.compute_seconds,
-                    data_comm_seconds=raw.data_load_seconds,
-                    op_time_by_kind=raw.time_by_kind(),
-                    events=raw.events,
-                    raw=raw,
-                )
-            else:
-                raw = self._gpu_model.profile_graph(
-                    graph, input_tensor_bytes=input_bytes
-                )
-                profile = InferenceProfile(
-                    model_name=self.model.name,
-                    platform_name=self.platform.name,
-                    platform_kind="gpu",
-                    batch_size=batch_size,
-                    compute_seconds=raw.compute_seconds,
-                    data_comm_seconds=raw.data_comm_seconds,
-                    op_time_by_kind=raw.time_by_kind(),
-                    events=None,
-                    raw=raw,
-                )
+            profile = specmode.profile_spec(
+                self.model, self.platform, batch_size, constants=self._constants
+            )
         if telemetry.enabled():
             self._record_profile_telemetry(profile)
         return profile

@@ -1,7 +1,5 @@
 """Analytical CPU microarchitecture simulator (TopDown-style)."""
 
-from repro.uarch.backend import BackendModel, BackendProfile
-from repro.uarch.branch import BranchModel, BranchProfile
 from repro.uarch.caches import (
     AnalyticalHierarchy,
     CacheHierarchy,
@@ -11,11 +9,9 @@ from repro.uarch.caches import (
 from repro.uarch.constants import DEFAULT_CONSTANTS, UarchConstants
 from repro.uarch.events import PmuEvents
 from repro.uarch.frontend import CodeRegion, FrontendModel, FrontendProfile
-from repro.uarch.memory import MemoryModel, MemoryProfile
 from repro.uarch.pipeline import CpuGraphProfile, CpuModel, CpuOpProfile
 from repro.uarch.multicore import CoreScalingPoint, MulticoreModel
 from repro.uarch.nmp import NmpConfig, NmpSystem
-from repro.uarch.synth import InstructionMix, synthesize
 from repro.uarch.topdown import TopDownBreakdown, topdown_from_events
 from repro.uarch.tracesim import EmbeddingTraceStudy, TraceStudyResult
 
@@ -26,14 +22,6 @@ __all__ = [
     "PmuEvents",
     "TopDownBreakdown",
     "topdown_from_events",
-    "InstructionMix",
-    "synthesize",
-    "BranchModel",
-    "BranchProfile",
-    "BackendModel",
-    "BackendProfile",
-    "MemoryModel",
-    "MemoryProfile",
     "FrontendModel",
     "FrontendProfile",
     "CodeRegion",

@@ -55,12 +55,6 @@ class PmuEvents:
     port_cycles_1_2: float = 0.0
     port_cycles_3_plus: float = 0.0
 
-    def merge(self, other: "PmuEvents") -> "PmuEvents":
-        """Accumulate another region's counters into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
     # -- derived metrics ----------------------------------------------------
 
     @property

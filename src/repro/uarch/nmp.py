@@ -20,16 +20,15 @@ report for embedding-dominated models, and ~1x for FC-dominated ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Optional
-
 
 from repro.graph.graph import Graph
 from repro.hw.platform import CpuSpec
-from repro.ops.workload import OpWorkload, RANDOM
+from repro.ops.tables import stack_tables, table_from_graph
 from repro.uarch.constants import DEFAULT_CONSTANTS, UarchConstants
-from repro.uarch.memory import MemoryModel, MemoryProfile
-from repro.uarch.pipeline import CpuGraphProfile, CpuModel
+from repro.uarch.pipeline import CpuModel
+from repro.uarch.vectorized import CpuGraphProfile, profile_cells_cpu
 
 __all__ = ["NmpConfig", "NmpSystem"]
 
@@ -52,69 +51,6 @@ class NmpConfig:
             raise ValueError("internal bandwidth factor must be >= 1")
 
 
-class _NmpMemoryModel(MemoryModel):
-    """Memory model with gather-and-pool executed near memory."""
-
-    def __init__(
-        self, spec: CpuSpec, constants: UarchConstants, nmp: NmpConfig
-    ) -> None:
-        super().__init__(spec, constants)
-        self.nmp = nmp
-
-    def profile(self, workload: OpWorkload) -> MemoryProfile:
-        gathers = [
-            s
-            for s in workload.streams
-            if s.pattern == RANDOM and not s.is_write and s.parallelism > 1
-        ]
-        if not gathers:
-            return super().profile(workload)
-
-        # Host-visible traffic: pooled outputs only.
-        host_streams = []
-        for stream in workload.streams:
-            if stream in gathers:
-                pooled_accesses = max(1, stream.accesses // stream.parallelism)
-                host_streams.append(
-                    dc_replace(
-                        stream,
-                        accesses=pooled_accesses,
-                        pattern=RANDOM,
-                        parallelism=1,
-                    )
-                )
-            else:
-                host_streams.append(stream)
-        host_profile = super().profile(
-            dc_replace(workload, streams=tuple(host_streams))
-        )
-
-        # Near-memory execution time of the gathers themselves.
-        spec, nmp = self.spec, self.nmp
-        dram_latency_cycles = spec.dram_latency_ns * spec.frequency_ghz
-        nmp_cycles = 0.0
-        for stream in gathers:
-            per_engine = stream.accesses / nmp.rank_parallelism
-            mlp = self.gather_mlp(stream)
-            latency_cycles = (
-                per_engine * dram_latency_cycles / mlp
-                / nmp.internal_bandwidth_factor
-            )
-            pooled = max(1, stream.accesses // stream.parallelism)
-            command_cycles = (
-                pooled * nmp.command_latency_ns * spec.frequency_ghz
-            )
-            nmp_cycles += latency_cycles + command_cycles
-        # Host-side stalls and NMP execution overlap; the slower wins.
-        host_profile.stall_cycles = max(host_profile.stall_cycles, nmp_cycles)
-        # The channel no longer carries row traffic: congestion clears.
-        host_profile.dram_occupancy = min(
-            host_profile.dram_occupancy,
-            nmp_cycles / max(host_profile.stall_cycles, 1e-9) * 0.5,
-        )
-        return host_profile
-
-
 class NmpSystem:
     """A CPU whose memory system executes embedding pooling near memory."""
 
@@ -128,11 +64,12 @@ class NmpSystem:
         self.nmp = nmp if nmp is not None else NmpConfig()
         self.constants = constants if constants is not None else DEFAULT_CONSTANTS
         self.baseline = CpuModel(spec, self.constants)
-        self.cpu = CpuModel(spec, self.constants)
-        self.cpu.memory_model = _NmpMemoryModel(spec, self.constants, self.nmp)
 
     def profile_graph(self, graph: Graph, input_bytes: int = 0) -> CpuGraphProfile:
-        return self.cpu.profile_graph(graph, input_bytes=input_bytes)
+        stacked = stack_tables([table_from_graph(graph, [input_bytes])])
+        return profile_cells_cpu(
+            stacked, self.spec, self.constants, nmp=self.nmp
+        )[0]
 
     def speedup(self, graph: Graph) -> float:
         """End-to-end model-computation speedup over the plain CPU."""

@@ -1,17 +1,10 @@
 """The CPU pipeline model: graphs -> cycles + PMU events.
 
-``CpuModel.profile_graph`` runs the whole analytical stack for one
-operator graph on one CPU:
-
-1. synthesize each node's instruction mix (:mod:`repro.uarch.synth`),
-2. model branches (:mod:`repro.uarch.branch`), the backend ports
-   (:mod:`repro.uarch.backend`), and data memory
-   (:mod:`repro.uarch.memory`) per node,
-3. model the shared frontend (L1i + DSB/MITE) across all nodes
-   (:mod:`repro.uarch.frontend`),
-4. assemble per-node cycle counts with an additive stall model —
-   ``cycles = execution + memory-stall + frontend-stall + bad-spec`` —
-   which is exactly the decomposition TopDown accounting inverts.
+``CpuModel.profile_graph`` profiles one operator graph on one CPU as a
+one-cell evaluation of :func:`~repro.uarch.vectorized.profile_cells_cpu`:
+the graph's workloads become a :class:`~repro.ops.tables.WorkloadTable`,
+and the evaluator runs synthesis, branches, backend ports, data memory,
+the shared frontend, and the additive stall assembly over it.
 
 The result carries both wall-clock (cycles / frequency + dispatch
 overheads) and the full PMU event set every figure of Section VI reads.
@@ -19,70 +12,16 @@ overheads) and the full PMU event set every figure of Section VI reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro import telemetry
 from repro.graph.graph import Graph
 from repro.hw.platform import CpuSpec
+from repro.ops.tables import stack_tables, table_from_graph, table_from_workloads
 from repro.ops.workload import OpWorkload
-from repro.uarch.backend import BackendModel
-from repro.uarch.branch import BranchModel
 from repro.uarch.constants import DEFAULT_CONSTANTS, UarchConstants
-from repro.uarch.events import PmuEvents
-from repro.uarch.frontend import CodeRegion, FrontendModel
-from repro.uarch.memory import MemoryModel
-from repro.uarch.synth import synthesize
+from repro.uarch.vectorized import CpuGraphProfile, CpuOpProfile, profile_cells_cpu
 
 __all__ = ["CpuOpProfile", "CpuGraphProfile", "CpuModel"]
-
-
-@dataclass
-class CpuOpProfile:
-    """Cycle/event accounting for one graph node on one CPU."""
-
-    node_name: str
-    op_kind: str
-    cycles: float
-    execution_cycles: float
-    memory_stall_cycles: float
-    frontend_stall_cycles: float
-    bad_speculation_cycles: float
-    core_bound_cycles: float
-    events: PmuEvents
-
-    @property
-    def time_seconds(self) -> float:
-        # Filled by CpuModel (needs frequency); kept as attribute below.
-        return self._time_seconds
-
-    _time_seconds: float = 0.0
-
-
-@dataclass
-class CpuGraphProfile:
-    """Whole-graph profile: per-op breakdown plus aggregate events."""
-
-    platform: str
-    graph_name: str
-    op_profiles: List[CpuOpProfile]
-    events: PmuEvents
-    #: Model-computation time (cycles/frequency + per-op dispatch).
-    compute_seconds: float
-    #: Host-side input staging ("data loading"; included in the paper's
-    #: end-to-end CPU numbers).
-    data_load_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return self.compute_seconds + self.data_load_seconds
-
-    def time_by_kind(self) -> Dict[str, float]:
-        """Seconds per operator kind (the Fig 6 breakdown)."""
-        out: Dict[str, float] = {}
-        for p in self.op_profiles:
-            out[p.op_kind] = out.get(p.op_kind, 0.0) + p._time_seconds
-        return out
 
 
 class CpuModel:
@@ -93,26 +32,10 @@ class CpuModel:
     ) -> None:
         self.spec = spec
         self.constants = constants if constants is not None else DEFAULT_CONSTANTS
-        self.branch_model = BranchModel(spec, self.constants)
-        self.backend_model = BackendModel(spec, self.constants)
-        self.memory_model = MemoryModel(spec, self.constants)
-        self.frontend_model = FrontendModel(spec, self.constants)
-
-    # -- public API ---------------------------------------------------------
 
     def profile_graph(self, graph: Graph, input_bytes: int = 0) -> CpuGraphProfile:
-        nodes = graph.nodes
-        workloads = []
-        for node in nodes:
-            input_specs = [graph.spec_of(s) for s in node.inputs]
-            workloads.append(node.op.workload(input_specs))
-        return self.profile_workloads(
-            graph.name,
-            [n.name for n in nodes],
-            [n.kind for n in nodes],
-            workloads,
-            input_bytes=input_bytes,
-        )
+        stacked = stack_tables([table_from_graph(graph, [input_bytes])])
+        return profile_cells_cpu(stacked, self.spec, self.constants)[0]
 
     def profile_workloads(
         self,
@@ -122,120 +45,8 @@ class CpuModel:
         workloads: List[OpWorkload],
         input_bytes: int = 0,
     ) -> CpuGraphProfile:
-        spec, c = self.spec, self.constants
-
-        mixes = [synthesize(w, spec, c) for w in workloads]
-        branch_profiles = [self.branch_model.profile(w) for w in workloads]
-        backend_profiles = [self.backend_model.profile(m) for m in mixes]
-        memory_profiles = [self.memory_model.profile(w) for w in workloads]
-
-        regions = [
-            CodeRegion(
-                name=name,
-                code_bytes=float(w.code_bytes),
-                unique_blocks=w.unique_code_blocks,
-                entries=float(w.effective_code_entries),
-                instructions=m.total,
-                uops=m.uops(c),
-                branches=m.branch_instructions,
-                mispredicts=bp.mispredicts,
-                branch_entropy=w.branch_entropy,
-            )
-            for name, w, m, bp in zip(names, workloads, mixes, branch_profiles)
-        ]
-        frontend_profiles = self.frontend_model.analyze(regions)
-
-        op_profiles: List[CpuOpProfile] = []
-        total_events = PmuEvents()
-        compute_seconds = 0.0
-
-        for name, kind, w, m, bp, be, mem in zip(
-            names, kinds, workloads, mixes, branch_profiles, backend_profiles,
-            memory_profiles,
-        ):
-            fe = frontend_profiles[name]
-            instructions = m.total + fe.dispatch_instructions
-            uops = m.uops(c) + fe.dispatch_instructions * c.uops_per_instruction
-
-            execution_cycles = max(
-                be.execution_cycles,
-                uops / spec.issue_width,
-            )
-            cycles = (
-                execution_cycles
-                + mem.stall_cycles
-                + fe.total_cycles
-                + bp.bad_speculation_cycles
-            )
-            self.backend_model.port_histogram(be, cycles)
-
-            events = PmuEvents(
-                cycles=cycles,
-                instructions=instructions,
-                uops_retired=uops,
-                avx_instructions=m.avx_instructions,
-                branch_instructions=m.branch_instructions,
-                branch_mispredicts=bp.mispredicts,
-                icache_misses=fe.icache_misses,
-                dsb_uops=fe.dsb_uops,
-                mite_uops=fe.mite_uops,
-                dsb_limited_cycles=fe.dsb_limited_cycles,
-                mite_limited_cycles=fe.mite_limited_cycles,
-                frontend_latency_cycles=fe.latency_cycles,
-                frontend_bandwidth_cycles=fe.bandwidth_cycles,
-                core_bound_cycles=be.core_bound_cycles,
-                memory_bound_cycles=mem.stall_cycles,
-                bad_speculation_cycles=bp.bad_speculation_cycles,
-                l1d_accesses=mem.l1_accesses,
-                l2_accesses=mem.l2_accesses,
-                l3_accesses=mem.l3_accesses,
-                dram_accesses=mem.dram_accesses,
-                dram_bytes=mem.dram_bytes,
-                dram_congested_cycles=self.memory_model.congested_cycles(mem, cycles),
-                port_cycles_0=be.ports_0_fraction * cycles,
-                port_cycles_1_2=be.ports_1_2_fraction * cycles,
-                port_cycles_3_plus=be.ports_3_plus_fraction * cycles,
-            )
-
-            seconds = cycles / (spec.frequency_ghz * 1e9)
-            # Framework dispatch wall-clock per operator invocation.
-            seconds += max(w.kernel_launches, 1) * c.cpu_dispatch_us * 1e-6 * 0.1
-            seconds += c.cpu_dispatch_us * 1e-6
-
-            profile = CpuOpProfile(
-                node_name=name,
-                op_kind=kind,
-                cycles=cycles,
-                execution_cycles=execution_cycles,
-                memory_stall_cycles=mem.stall_cycles,
-                frontend_stall_cycles=fe.total_cycles,
-                bad_speculation_cycles=bp.bad_speculation_cycles,
-                core_bound_cycles=be.core_bound_cycles,
-                events=events,
-            )
-            profile._time_seconds = seconds
-            op_profiles.append(profile)
-            total_events.merge(events)
-            compute_seconds += seconds
-
-        data_load_seconds = (
-            input_bytes / (c.host_staging_gbps * 1e9)
-            + c.host_staging_latency_us * 1e-6
+        """Profile hand-built workloads as one graph (nodes in order)."""
+        stacked = stack_tables(
+            [table_from_workloads(graph_name, names, kinds, workloads, [input_bytes])]
         )
-        if telemetry.enabled():
-            registry = telemetry.get_registry()
-            labels = dict(platform=spec.microarchitecture, graph=graph_name)
-            registry.counter("uarch.graphs_profiled", **labels).inc()
-            registry.counter("uarch.ops_profiled", **labels).inc(len(op_profiles))
-            registry.counter("uarch.cycles", **labels).inc(total_events.cycles)
-            registry.counter(
-                "uarch.instructions", **labels
-            ).inc(total_events.instructions)
-        return CpuGraphProfile(
-            platform=spec.microarchitecture,
-            graph_name=graph_name,
-            op_profiles=op_profiles,
-            events=total_events,
-            compute_seconds=compute_seconds,
-            data_load_seconds=data_load_seconds,
-        )
+        return profile_cells_cpu(stacked, self.spec, self.constants)[0]

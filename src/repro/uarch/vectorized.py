@@ -1,94 +1,99 @@
-"""Vectorized CPU pipeline evaluation over stacked workload tables.
+"""The CPU cost model: workload tables -> cycles + PMU events.
 
-Evaluates :mod:`repro.uarch`'s whole analytical stack — synthesis,
-branch, backend, memory, frontend, assembly — for *all* sweep cells of
-one CPU at once, on ``(cells, nodes)`` float64 arrays.
+:func:`profile_cells_cpu` runs the whole analytical stack for any
+number of stacked graphs ("cells") on one CPU, on ``(cells, nodes)``
+float64 arrays; profiling one graph is the one-cell case
+(:class:`~repro.uarch.pipeline.CpuModel`). Per node it
 
-Bit-identity contract: every arithmetic expression here mirrors the
-scalar models (:mod:`~repro.uarch.synth`, :mod:`~repro.uarch.branch`,
-:mod:`~repro.uarch.backend`, :mod:`~repro.uarch.memory`,
-:mod:`~repro.uarch.pipeline`) term for term, preserving association
-order, so IEEE-754 float64 results match the scalar path bit for bit
-(pinned in ``tests/test_specmode.py``). Two pieces intentionally stay
-on the original scalar code because their arithmetic is not
-reproducible with vectorized primitives:
+1. lowers the hardware-neutral workload onto this CPU's ISA: how many
+   packed-SIMD instructions the flops become at this vector width, how
+   many loads/stores the memory streams become, plus scalar and branch
+   bookkeeping (Figs 9, 11);
+2. charges mispredicts as ``entropy * (1 - predictor_quality)`` per
+   branch, each wasting part of the flush penalty (Figs 8, 15);
+3. bins micro-ops onto the FMA / ALU / load / store ports — the busiest
+   class sets the execution-limited cycles (Fig 10);
+4. classifies every memory stream over the cache levels
+   (:class:`~repro.uarch.caches.AnalyticalHierarchy`) and turns the hits
+   into visible stall cycles, DRAM bytes, and a Little's-law occupancy
+   of the offcore queue whose "> 70 %" rule flags congestion (Fig 14);
+5. models the shared frontend (L1i + DSB/MITE) across all nodes
+   (:meth:`~repro.uarch.frontend.FrontendModel.analyze`), and
+6. assembles ``cycles = execution + memory-stall + frontend-stall +
+   bad-spec`` — exactly the decomposition TopDown accounting inverts —
+   with wall-clock seconds (cycles / frequency + dispatch overheads).
 
-* the shared frontend (:meth:`~repro.uarch.frontend.FrontendModel.analyze`)
-  — a sorted greedy capacity budget across the whole graph — runs once
-  per cell on :class:`~repro.uarch.frontend.CodeRegion` objects rebuilt
-  from the table (cheap: one call per cell, not per node);
-* the port-occupancy binomial (``p**k`` — NumPy's pow is not bit-equal
-  to CPython's for float bases) runs as a per-node Python loop
-  replicating :meth:`~repro.uarch.backend.BackendModel.port_histogram`.
+Two pieces run per cell or per node in Python because their arithmetic
+is not expressible with vectorized primitives: the frontend's sorted
+greedy capacity budget (one call per cell on
+:class:`~repro.uarch.frontend.CodeRegion` objects), and the port
+histogram's binomial ``p**k`` (CPython's float pow).
 
 Per-node accumulations (stream loops, event totals) use masked adds of
-exact ``0.0`` in the original visit order: ``x + 0.0 == x`` for the
-non-negative quantities involved, so the scalar add sequence is
-preserved. Padding lanes may hold inf/nan (``np.errstate`` suppressed);
-they are excluded by the validity mask at every accumulation.
+exact ``0.0`` in visit order, so one cell's results do not depend on
+what else is stacked with it. Padding lanes may hold inf/nan
+(``np.errstate`` suppressed); they are excluded by the validity mask at
+every accumulation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro import telemetry
 from repro.hw.platform import CpuSpec
+from repro.ops.tables import StackedTables
 from repro.uarch.caches import AnalyticalHierarchy
 from repro.uarch.constants import DEFAULT_CONSTANTS, UarchConstants
 from repro.uarch.events import PmuEvents
 from repro.uarch.frontend import CodeRegion, FrontendModel
-from repro.uarch.pipeline import CpuOpProfile
 
-__all__ = ["SpecCpuGraphProfile", "profile_cells_cpu"]
+if TYPE_CHECKING:
+    from repro.uarch.nmp import NmpConfig
 
-#: Per-node event/cycle arrays shared by all cells of one evaluation;
-#: SpecCpuGraphProfile materializes CpuOpProfile rows from these lazily.
-_OP_ARRAY_FIELDS = (
-    "cycles",
-    "execution",
-    "mem_stall",
-    "fe_total",
-    "bad_spec",
-    "core_bound",
-    "seconds",
-    "instructions",
-    "uops",
-    "avx",
-    "branch_inst",
-    "mispredicts",
-    "fe_icache",
-    "fe_dsb_uops",
-    "fe_mite_uops",
-    "fe_dsb_cycles",
-    "fe_mite_cycles",
-    "fe_latency",
-    "fe_bandwidth",
-    "l1a",
-    "l2a",
-    "l3a",
-    "drama",
-    "dramb",
-    "congested",
-    "port0",
-    "port12",
-    "port3",
+__all__ = ["CpuOpProfile", "CpuGraphProfile", "profile_cells_cpu"]
+
+
+@dataclass
+class CpuOpProfile:
+    """Cycle/event accounting for one graph node on one CPU."""
+
+    node_name: str
+    op_kind: str
+    cycles: float
+    execution_cycles: float
+    memory_stall_cycles: float
+    frontend_stall_cycles: float
+    bad_speculation_cycles: float
+    core_bound_cycles: float
+    events: PmuEvents
+    #: Wall-clock seconds: cycles / frequency plus per-op dispatch.
+    seconds: float
+
+
+#: Every PmuEvents counter is one evaluation array of the same name.
+_EVENT_FIELDS = tuple(f.name for f in fields(PmuEvents))
+
+#: FrontendProfile attribute behind each frontend evaluation array.
+_FRONTEND_FIELDS = (
+    ("fe_dispatch", "dispatch_instructions"),
+    ("frontend_stall_cycles", "total_cycles"),
+    ("frontend_latency_cycles", "latency_cycles"),
+    ("frontend_bandwidth_cycles", "bandwidth_cycles"),
+    ("icache_misses", "icache_misses"),
+    ("dsb_uops", "dsb_uops"),
+    ("mite_uops", "mite_uops"),
+    ("dsb_limited_cycles", "dsb_limited_cycles"),
+    ("mite_limited_cycles", "mite_limited_cycles"),
 )
 
 
-class _CpuArrays:
-    """Bag of (cells, nodes) result arrays for lazy materialization."""
-
-    def __init__(self, **arrays: np.ndarray) -> None:
-        for name, arr in arrays.items():
-            setattr(self, name, arr)
-
-
-class SpecCpuGraphProfile:
-    """Duck-typed :class:`~repro.uarch.pipeline.CpuGraphProfile`.
+class CpuGraphProfile:
+    """Whole-graph profile: per-op breakdown plus aggregate events.
 
     Aggregates (events, compute/data-load seconds, per-kind times) are
     eager; the per-op :class:`CpuOpProfile` list is materialized lazily
@@ -103,7 +108,7 @@ class SpecCpuGraphProfile:
         compute_seconds: float,
         data_load_seconds: float,
         time_by_kind: Dict[str, float],
-        arrays: _CpuArrays,
+        arrays: Dict[str, np.ndarray],
         cell_index: int,
         names: List[str],
         kinds: List[str],
@@ -111,7 +116,10 @@ class SpecCpuGraphProfile:
         self.platform = platform
         self.graph_name = graph_name
         self.events = events
+        #: Model-computation time (cycles/frequency + per-op dispatch).
         self.compute_seconds = compute_seconds
+        #: Host-side input staging ("data loading"; included in the
+        #: paper's end-to-end CPU numbers).
         self.data_load_seconds = data_load_seconds
         self._time_by_kind = time_by_kind
         self._arrays = arrays
@@ -125,6 +133,7 @@ class SpecCpuGraphProfile:
         return self.compute_seconds + self.data_load_seconds
 
     def time_by_kind(self) -> Dict[str, float]:
+        """Seconds per operator kind (the Fig 6 breakdown)."""
         return dict(self._time_by_kind)
 
     @property
@@ -134,69 +143,53 @@ class SpecCpuGraphProfile:
         return self._op_profiles
 
     def _materialize(self) -> List[CpuOpProfile]:
-        a, i = self._arrays, self._cell
-        n = len(self._names)
-        rows = {name: getattr(a, name)[i, :n].tolist() for name in _OP_ARRAY_FIELDS}
-        profiles = []
-        for j, (name, kind) in enumerate(zip(self._names, self._kinds)):
-            events = PmuEvents(
-                cycles=rows["cycles"][j],
-                instructions=rows["instructions"][j],
-                uops_retired=rows["uops"][j],
-                avx_instructions=rows["avx"][j],
-                branch_instructions=rows["branch_inst"][j],
-                branch_mispredicts=rows["mispredicts"][j],
-                icache_misses=rows["fe_icache"][j],
-                dsb_uops=rows["fe_dsb_uops"][j],
-                mite_uops=rows["fe_mite_uops"][j],
-                dsb_limited_cycles=rows["fe_dsb_cycles"][j],
-                mite_limited_cycles=rows["fe_mite_cycles"][j],
-                frontend_latency_cycles=rows["fe_latency"][j],
-                frontend_bandwidth_cycles=rows["fe_bandwidth"][j],
-                core_bound_cycles=rows["core_bound"][j],
-                memory_bound_cycles=rows["mem_stall"][j],
-                bad_speculation_cycles=rows["bad_spec"][j],
-                l1d_accesses=rows["l1a"][j],
-                l2_accesses=rows["l2a"][j],
-                l3_accesses=rows["l3a"][j],
-                dram_accesses=rows["drama"][j],
-                dram_bytes=rows["dramb"][j],
-                dram_congested_cycles=rows["congested"][j],
-                port_cycles_0=rows["port0"][j],
-                port_cycles_1_2=rows["port12"][j],
-                port_cycles_3_plus=rows["port3"][j],
-            )
-            profile = CpuOpProfile(
+        i, n = self._cell, len(self._names)
+        rows = {name: arr[i, :n].tolist() for name, arr in self._arrays.items()}
+        return [
+            CpuOpProfile(
                 node_name=name,
                 op_kind=kind,
                 cycles=rows["cycles"][j],
-                execution_cycles=rows["execution"][j],
-                memory_stall_cycles=rows["mem_stall"][j],
-                frontend_stall_cycles=rows["fe_total"][j],
-                bad_speculation_cycles=rows["bad_spec"][j],
-                core_bound_cycles=rows["core_bound"][j],
-                events=events,
+                execution_cycles=rows["execution_cycles"][j],
+                memory_stall_cycles=rows["memory_bound_cycles"][j],
+                frontend_stall_cycles=rows["frontend_stall_cycles"][j],
+                bad_speculation_cycles=rows["bad_speculation_cycles"][j],
+                core_bound_cycles=rows["core_bound_cycles"][j],
+                events=PmuEvents(**{f: rows[f][j] for f in _EVENT_FIELDS}),
+                seconds=rows["seconds"][j],
             )
-            profile._time_seconds = rows["seconds"][j]
-            profiles.append(profile)
-        return profiles
+            for j, (name, kind) in enumerate(zip(self._names, self._kinds))
+        ]
 
 
 def _masked_totals(valid: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Left-to-right per-cell node sums (the scalar merge order)."""
+    """Left-to-right per-cell sums over the nodes, in node order."""
     return np.where(valid, arr, 0.0).cumsum(axis=1)[:, -1]
 
 
 def profile_cells_cpu(
-    stacked, spec: CpuSpec, constants: Optional[UarchConstants] = None
-) -> List[SpecCpuGraphProfile]:
-    """Profile every stacked cell on one CPU spec."""
+    stacked: StackedTables,
+    spec: CpuSpec,
+    constants: Optional[UarchConstants] = None,
+    nmp: Optional["NmpConfig"] = None,
+) -> List[CpuGraphProfile]:
+    """Profile every stacked cell on one CPU spec.
+
+    ``nmp`` executes gather-and-pool near memory
+    (:class:`~repro.uarch.nmp.NmpSystem`); it changes the memory stage
+    only.
+    """
     c = constants if constants is not None else DEFAULT_CONSTANTS
     st = stacked
     valid = st.valid
 
     with np.errstate(all="ignore"):
-        # ---- synth (repro.uarch.synth.synthesize) -------------------------
+        # ---- instruction synthesis ----------------------------------------
+        # AVX-512's masked operations let hand-tuned GEMM-class kernels
+        # (the FMA-shaped workloads) vectorize residue that the 256-bit
+        # ISA leaves scalar; the long tail of non-GEMM operators is not
+        # rewritten per ISA. VNNI's fused forms shave further
+        # instructions off FC-class kernels (Fig 11).
         lanes = spec.simd_fp32_lanes
         flops_per_vector_inst = np.where(st.uses_fma, lanes * 2, lanes)
         scalar_fraction = 1.0 - st.vector_fraction
@@ -213,32 +206,34 @@ def profile_cells_cpu(
                 vector_flop_inst * c.vnni_instruction_factor,
                 vector_flop_inst,
             )
-        # Stream terms iterate slot-major contiguous slices (shared,
+        # Stream terms iterate the slots in order (shared,
         # platform-independent masks precomputed once on the stack).
-        # Masked adds of exact 0.0 in slot order preserve the scalar add
-        # sequence; r/q are mutually exclusive so their two adds fold
-        # into one nested selection. Slots with no valid lane contribute
-        # exactly +0.0 everywhere and are skipped.
+        # Writes become stores; each gathered (random) granule needs its
+        # own vector loads; sequential reads stream at the load width.
+        # r/q are mutually exclusive so their two adds fold into one
+        # nested selection. Slots with no valid lane contribute exactly
+        # +0.0 everywhere and are skipped.
         simd_bytes = spec.simd_width_bits // 8
-        slots = st.stream_slots()
+        streams = st.streams()
         stores = np.zeros(valid.shape, dtype=np.float64)
         vector_mem = np.zeros(valid.shape, dtype=np.float64)
-        for slot in slots:
-            if not slot.any_valid:
+        for s, any_valid in enumerate(streams.any_valid):
+            if not any_valid:
                 continue
+            total = streams.total[s]
             stores = stores + np.where(
-                slot.w, np.ceil(slot.total / simd_bytes), 0.0
+                streams.w[s], np.ceil(total / simd_bytes), 0.0
             )
-            per_access = np.maximum(1.0, np.ceil(slot.granule / simd_bytes))
+            per_access = np.maximum(
+                1.0, np.ceil(streams.granule[s] / simd_bytes)
+            )
             vector_mem = vector_mem + np.where(
-                slot.r,
-                slot.accesses * per_access,
-                np.where(slot.q, slot.total / simd_bytes, 0.0),
+                streams.r[s],
+                streams.accesses[s] * per_access,
+                np.where(streams.q[s], total / simd_bytes, 0.0),
             )
         branch_inst = st.branches.astype(np.float64)
         bookkeeping = st.scalar_ops.astype(np.float64)
-        # scalar_memory_instructions is always 0.0, so load == vector_mem
-        # and the mix total's "+ 0.0" term is the float identity.
         load_inst = vector_mem
         avx = vector_flop_inst + vector_mem
         mix_total = (
@@ -247,12 +242,15 @@ def profile_cells_cpu(
         ) + bookkeeping
         mix_uops = mix_total * c.uops_per_instruction
 
-        # ---- branch (repro.uarch.branch.BranchModel) ----------------------
+        # ---- branches -----------------------------------------------------
         mrate = st.branch_entropy * (1.0 - spec.predictor_quality)
         mispredicts = branch_inst * mrate
         bad_spec = (mispredicts * spec.branch_penalty) * c.badspec_slot_fraction
 
-        # ---- backend (repro.uarch.backend.BackendModel) -------------------
+        # ---- backend ports ------------------------------------------------
+        # Scalar ALU work could also use the FMA-capable ports, but vector
+        # work monopolizes them in hot loops: the scalar stream gets the
+        # ALU ports plus leftover FMA-port slack.
         fma_uops = vector_flop_inst * c.uops_per_instruction
         scalar_alu_uops = (
             (scalar_flop_inst + bookkeeping) + branch_inst
@@ -275,7 +273,7 @@ def profile_cells_cpu(
         be_core_bound = np.maximum(0.0, be_exec - issue_cycles)
         port_uops = total_uops
 
-        # ---- memory (repro.uarch.memory / repro.uarch.caches) -------------
+        # ---- data memory --------------------------------------------------
         hier = AnalyticalHierarchy(spec)
         l1b, l2b, l3b = hier.l1_bytes, hier.l2_bytes, hier.l3_bytes
         dram_latency_cycles = spec.dram_latency_ns * spec.frequency_ghz
@@ -286,19 +284,43 @@ def profile_cells_cpu(
         l1a, l2a, l3a = zeros.copy(), zeros.copy(), zeros.copy()
         drama, dramb = zeros.copy(), zeros.copy()
         latency, occ_weight = zeros.copy(), zeros.copy()
-        for slot in slots:
-            if not slot.any_live:
+        nmp_cycles = zeros.copy()
+        pooled_op = np.zeros(valid.shape, dtype=bool)
+        for s, any_live in enumerate(streams.any_live):
+            acc, acc_f = streams.accesses[s], streams.acc_f[s]
+            sqrt_par, live = streams.sqrt_par[s], streams.live_acc[s]
+            rmask, smask = streams.rmask[s], streams.smask[s]
+            if nmp is not None and streams.r[s].any():
+                # Near-memory gather-and-pool: the gathers run rank-locally
+                # (time accumulated in stream order); the host sees one
+                # pooled row per pooled group, as a parallelism-1 stream.
+                gather = streams.r[s] & (streams.parallelism[s] > 1)
+                pooled = np.maximum(1, acc // streams.parallelism[s])
+                mlp = np.minimum(
+                    np.maximum(c.gather_mlp_base * sqrt_par, 1.0), max_offcore
+                )
+                near = (
+                    ((acc / nmp.rank_parallelism) * dram_latency_cycles) / mlp
+                ) / nmp.internal_bandwidth_factor
+                command = (pooled * nmp.command_latency_ns) * spec.frequency_ghz
+                nmp_cycles = nmp_cycles + np.where(gather, near + command, 0.0)
+                pooled_op |= gather
+                acc = np.where(gather, pooled, acc)
+                acc_f = acc.astype(np.float64)
+                sqrt_par = np.where(gather, 1.0, sqrt_par)
+                live = streams.valid[s] & (acc > 0)
+                rmask = live & streams.r[s]
+                smask = live & streams.q[s]
+                any_live = bool(live.any())
+            if not any_live:
                 continue
-            fp = slot.footprint
-            acc = slot.accesses
-            gran = slot.granule
-            loc = slot.locality
-            live = slot.live_acc
-            is_rand = slot.is_random
-            # _classify_random: residence-fraction chain + Zipf hot split.
+            fp = streams.footprint[s]
+            gran = streams.granule[s]
+            loc = streams.locality[s]
+            is_rand = streams.is_random[s]
+            # Random streams: residence-fraction chain + Zipf hot split.
             # min(remaining, capacity/footprint) handles footprint == 0
-            # too: capacity/0 -> inf, so share == remaining, exactly the
-            # scalar branch.
+            # too: capacity/0 -> inf, so share == remaining.
             share1 = np.minimum(1.0, l1b / fp)
             rem = 1.0 - share1
             rem = np.where(rem <= 0, 0.0, rem)
@@ -314,11 +336,11 @@ def profile_cells_cpu(
             r_l2 = acc * (share2 * om + hot * 0.35)
             r_l3 = acc * (share3 * om + hot * 0.65)
             r_dram = np.maximum(0.0, ((acc - r_l1) - r_l2) - r_l3)
-            # _classify_sequential: smallest level holding the footprint.
+            # Sequential streams: smallest level holding the footprint.
             in_l1 = fp <= l1b
             in_l2 = fp <= l2b
             in_l3 = fp <= l3b
-            s_l1 = np.where(in_l1, slot.acc_f, np.where(in_l2, acc_loc, 0.0))
+            s_l1 = np.where(in_l1, acc_f, np.where(in_l2, acc_loc, 0.0))
             s_l2 = np.where(
                 in_l1,
                 0.0,
@@ -336,7 +358,12 @@ def profile_cells_cpu(
             drama = drama + lvld
             dramb = dramb + lvld * gran
             # Stall terms (reads only; writes hide behind store buffers).
-            mlp = c.gather_mlp_base * slot.sqrt_par
+            # Independent gathers overlap up to the offcore queue: more
+            # lookups per request window expose more memory-level
+            # parallelism (RM2's 120 lookups/table vs RM1's 80, Fig 14).
+            # Prefetchers cover sequential miss latency; what remains is
+            # the cache/DRAM bandwidth of streaming the footprint.
+            mlp = c.gather_mlp_base * sqrt_par
             mlp = np.minimum(np.maximum(mlp, 1.0), max_offcore)
             dram_term = (lvld * dram_latency_cycles) * c.dram_visible_fraction
             rand_stall = (
@@ -364,30 +391,34 @@ def profile_cells_cpu(
                 * c.l3_stream_visible_fraction
             )
             latency = latency + np.where(
-                slot.rmask, rand_stall, np.where(slot.smask, seq_stall, 0.0)
+                rmask, rand_stall, np.where(smask, seq_stall, 0.0)
             )
-            occ_weight = occ_weight + np.where(slot.rmask, occ_term, 0.0)
+            occ_weight = occ_weight + np.where(rmask, occ_term, 0.0)
+        # Bandwidth floor: moving the DRAM bytes takes at least this long.
         dram_bw_cycles = dramb / max(bytes_per_cycle, 1e-9)
         mem_stall = np.maximum(latency, dram_bw_cycles)
         occupancy = np.where(
             mem_stall > 0, np.minimum(1.0, occ_weight / mem_stall), 0.0
         )
+        if nmp is not None:
+            # Host stalls and near-memory execution overlap (the slower
+            # wins), and the channel no longer carries row traffic.
+            mem_stall = np.where(
+                pooled_op, np.maximum(mem_stall, nmp_cycles), mem_stall
+            )
+            occupancy = np.where(
+                pooled_op,
+                np.minimum(
+                    occupancy, (nmp_cycles / np.maximum(mem_stall, 1e-9)) * 0.5
+                ),
+                occupancy,
+            )
 
-    # ---- frontend: the original scalar greedy-budget analysis ------------
+    # ---- frontend: greedy capacity budget across the whole graph ---------
     frontend_model = FrontendModel(spec, c)
-    fe_arrays = {
+    fe = {
         name: np.zeros(valid.shape, dtype=np.float64)
-        for name in (
-            "fe_dispatch",
-            "fe_total",
-            "fe_latency",
-            "fe_bandwidth",
-            "fe_icache",
-            "fe_dsb_uops",
-            "fe_mite_uops",
-            "fe_dsb_cycles",
-            "fe_mite_cycles",
-        )
+        for name, _ in _FRONTEND_FIELDS
     }
     for i, cell in enumerate(st.cells):
         n = cell.n
@@ -414,24 +445,18 @@ def profile_cells_cpu(
         ]
         profiles_by_name = frontend_model.analyze(regions)
         fes = [profiles_by_name[name] for name in cell.names]
-        fe_arrays["fe_dispatch"][i, :n] = [f.dispatch_instructions for f in fes]
-        fe_arrays["fe_total"][i, :n] = [f.total_cycles for f in fes]
-        fe_arrays["fe_latency"][i, :n] = [f.latency_cycles for f in fes]
-        fe_arrays["fe_bandwidth"][i, :n] = [f.bandwidth_cycles for f in fes]
-        fe_arrays["fe_icache"][i, :n] = [f.icache_misses for f in fes]
-        fe_arrays["fe_dsb_uops"][i, :n] = [f.dsb_uops for f in fes]
-        fe_arrays["fe_mite_uops"][i, :n] = [f.mite_uops for f in fes]
-        fe_arrays["fe_dsb_cycles"][i, :n] = [f.dsb_limited_cycles for f in fes]
-        fe_arrays["fe_mite_cycles"][i, :n] = [f.mite_limited_cycles for f in fes]
+        for name, attr in _FRONTEND_FIELDS:
+            fe[name][i, :n] = [getattr(f, attr) for f in fes]
 
     with np.errstate(all="ignore"):
-        # ---- assembly (repro.uarch.pipeline.profile_workloads) ------------
-        fe_dispatch = fe_arrays["fe_dispatch"]
-        fe_total = fe_arrays["fe_total"]
+        # ---- assembly -----------------------------------------------------
+        # Congestion (Intel's rule): occupancy beyond the threshold charges
+        # the op's memory-stall share, scaled by the overshoot.
+        fe_dispatch = fe.pop("fe_dispatch")
         instructions = mix_total + fe_dispatch
         uops = mix_uops + fe_dispatch * c.uops_per_instruction
         execution = np.maximum(be_exec, uops / spec.issue_width)
-        cycles = ((execution + mem_stall) + fe_total) + bad_spec
+        cycles = ((execution + mem_stall) + fe["frontend_stall_cycles"]) + bad_spec
         thr = c.dram_congestion_threshold
         congested = np.where(
             occupancy <= thr,
@@ -444,7 +469,9 @@ def profile_cells_cpu(
         ) * 0.1
         seconds = seconds + c.cpu_dispatch_us * 1e-6
 
-    # ---- port histogram: scalar pow, exactly BackendModel.port_histogram --
+    # ---- port histogram (Fig 10) -------------------------------------------
+    # Binomial per-cycle occupancy of the execution units, measured over
+    # all of the op's cycles: stall cycles leave ports idle.
     num_units = spec.alu_ports + spec.load_ports + spec.store_ports
     nu_f = float(num_units)
     comb1 = math.comb(num_units, 1)
@@ -474,104 +501,39 @@ def profile_cells_cpu(
         port12[i, :n] = p12_row
         port3[i, :n] = p3_row
     with np.errstate(all="ignore"):
-        port_cycles_0 = port0 * cycles
-        port_cycles_1_2 = port12 * cycles
-        port_cycles_3_plus = port3 * cycles
-
-    arrays = _CpuArrays(
-        cycles=cycles,
-        execution=execution,
-        mem_stall=mem_stall,
-        fe_total=fe_total,
-        bad_spec=bad_spec,
-        core_bound=be_core_bound,
-        seconds=seconds,
-        instructions=instructions,
-        uops=uops,
-        avx=avx,
-        branch_inst=branch_inst,
-        mispredicts=mispredicts,
-        fe_icache=fe_arrays["fe_icache"],
-        fe_dsb_uops=fe_arrays["fe_dsb_uops"],
-        fe_mite_uops=fe_arrays["fe_mite_uops"],
-        fe_dsb_cycles=fe_arrays["fe_dsb_cycles"],
-        fe_mite_cycles=fe_arrays["fe_mite_cycles"],
-        fe_latency=fe_arrays["fe_latency"],
-        fe_bandwidth=fe_arrays["fe_bandwidth"],
-        l1a=l1a,
-        l2a=l2a,
-        l3a=l3a,
-        drama=drama,
-        dramb=dramb,
-        congested=congested,
-        port0=port_cycles_0,
-        port12=port_cycles_1_2,
-        port3=port_cycles_3_plus,
-    )
-
-    totals = {
-        name: _masked_totals(valid, getattr(arrays, name)).tolist()
-        for name in (
-            "cycles",
-            "instructions",
-            "uops",
-            "avx",
-            "branch_inst",
-            "mispredicts",
-            "fe_icache",
-            "fe_dsb_uops",
-            "fe_mite_uops",
-            "fe_dsb_cycles",
-            "fe_mite_cycles",
-            "fe_latency",
-            "fe_bandwidth",
-            "core_bound",
-            "mem_stall",
-            "bad_spec",
-            "l1a",
-            "l2a",
-            "l3a",
-            "drama",
-            "dramb",
-            "congested",
-            "port0",
-            "port12",
-            "port3",
-            "seconds",
+        arrays = dict(
+            fe,
+            cycles=cycles,
+            instructions=instructions,
+            uops_retired=uops,
+            avx_instructions=avx,
+            branch_instructions=branch_inst,
+            branch_mispredicts=mispredicts,
+            core_bound_cycles=be_core_bound,
+            memory_bound_cycles=mem_stall,
+            bad_speculation_cycles=bad_spec,
+            l1d_accesses=l1a,
+            l2_accesses=l2a,
+            l3_accesses=l3a,
+            dram_accesses=drama,
+            dram_bytes=dramb,
+            dram_congested_cycles=congested,
+            port_cycles_0=port0 * cycles,
+            port_cycles_1_2=port12 * cycles,
+            port_cycles_3_plus=port3 * cycles,
+            execution_cycles=execution,
+            seconds=seconds,
         )
+    totals = {
+        name: _masked_totals(valid, arrays[name]).tolist()
+        for name in _EVENT_FIELDS + ("seconds",)
     }
 
     staging = c.host_staging_gbps * 1e9
     staging_latency = c.host_staging_latency_us * 1e-6
-    profiles: List[SpecCpuGraphProfile] = []
+    profiles: List[CpuGraphProfile] = []
     for i, cell in enumerate(st.cells):
-        events = PmuEvents(
-            cycles=totals["cycles"][i],
-            instructions=totals["instructions"][i],
-            uops_retired=totals["uops"][i],
-            avx_instructions=totals["avx"][i],
-            branch_instructions=totals["branch_inst"][i],
-            branch_mispredicts=totals["mispredicts"][i],
-            icache_misses=totals["fe_icache"][i],
-            dsb_uops=totals["fe_dsb_uops"][i],
-            mite_uops=totals["fe_mite_uops"][i],
-            dsb_limited_cycles=totals["fe_dsb_cycles"][i],
-            mite_limited_cycles=totals["fe_mite_cycles"][i],
-            frontend_latency_cycles=totals["fe_latency"][i],
-            frontend_bandwidth_cycles=totals["fe_bandwidth"][i],
-            core_bound_cycles=totals["core_bound"][i],
-            memory_bound_cycles=totals["mem_stall"][i],
-            bad_speculation_cycles=totals["bad_spec"][i],
-            l1d_accesses=totals["l1a"][i],
-            l2_accesses=totals["l2a"][i],
-            l3_accesses=totals["l3a"][i],
-            dram_accesses=totals["drama"][i],
-            dram_bytes=totals["dramb"][i],
-            dram_congested_cycles=totals["congested"][i],
-            port_cycles_0=totals["port0"][i],
-            port_cycles_1_2=totals["port12"][i],
-            port_cycles_3_plus=totals["port3"][i],
-        )
+        events = PmuEvents(**{f: totals[f][i] for f in _EVENT_FIELDS})
         secs_row = seconds[i, : cell.n].tolist()
         time_by_kind: Dict[str, float] = {}
         for kind, sec in zip(cell.kinds, secs_row):
@@ -580,7 +542,7 @@ def profile_cells_cpu(
             cell.total_input_bytes / staging + staging_latency
         )
         profiles.append(
-            SpecCpuGraphProfile(
+            CpuGraphProfile(
                 platform=spec.microarchitecture,
                 graph_name=cell.graph_name,
                 events=events,

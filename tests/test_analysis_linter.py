@@ -283,10 +283,10 @@ class TestREP007UnknownNoqa:
         """)
         assert sorted(rules_of(found)) == ["REP003", "REP007"]
 
-    def test_known_rep_and_gv_ids_accepted(self):
+    def test_known_rep_ids_accepted(self):
         assert lint("""
             h = hash("a")  # repro: noqa(REP003)
-            y = 2  # repro: noqa(GV201)
+            y = 2  # repro: noqa(REP001)
         """) == []
 
     def test_mixed_known_and_unknown_ids(self):

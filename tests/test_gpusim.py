@@ -39,25 +39,45 @@ class TestPcieModel:
             PcieModel(T4).transfer_seconds(-1)
 
 
+def device(spec, workload):
+    """Device profile of one op, profiled as a one-node graph."""
+    profile = GpuModel(spec).profile_workloads(
+        "g", ["n"], [workload.op_kind], [workload]
+    )
+    return profile.op_profiles[0].device
+
+
 class TestKernelCostModel:
     def test_occupancy_monotonic_saturating(self):
-        km = KernelCostModel(GTX_1080_TI)
-        occs = [km.occupancy(n) for n in (1e2, 1e4, 1e6, 1e8)]
-        assert occs == sorted(occs)
-        assert occs[-1] < 1.0
+        # Achieved flop rate per kernel rises with its output width
+        # (SM fill) and stays below the fully-occupied ceiling.
+        spec = GTX_1080_TI
+        km = KernelCostModel(spec)
+        ceiling = (
+            spec.peak_fp32_tflops * 1e12 * km.class_efficiency("FC")
+            * km.arch_factor
+        )
+        flops = 10**9
+        rates = []
+        for words in (10**2, 10**4, 10**6, 10**8):
+            w = OpWorkload(
+                op_kind="FC", flops=flops,
+                streams=(MemoryStream(4 * words, words, 4, is_write=True),),
+            )
+            rates.append(flops / device(spec, w).compute_seconds)
+        assert rates == sorted(rates)
+        assert rates[-1] < ceiling
 
     def test_launch_floor(self):
-        km = KernelCostModel(GTX_1080_TI)
         w = OpWorkload(op_kind="Concat", kernel_launches=750)
-        p = km.profile(w)
+        p = device(GTX_1080_TI, w)
         assert p.seconds >= 750 * GTX_1080_TI.kernel_launch_us * 1e-6
 
     def test_small_kernels_low_efficiency(self):
         """Batch-1 GEMMs cannot fill the machine."""
-        km = KernelCostModel(GTX_1080_TI)
         fc = FC(2048, 1024, "t")
-        small = km.profile(fc.workload([TensorSpec((1, 2048))]))
-        large = km.profile(fc.workload([TensorSpec((16384, 2048))]))
+        small = device(GTX_1080_TI, fc.workload([TensorSpec((1, 2048))]))
+        large = device(GTX_1080_TI, fc.workload([TensorSpec((16384, 2048))]))
         flops_small = 2 * 1 * 2048 * 1024
         flops_large = 2 * 16384 * 2048 * 1024
         assert (flops_large / large.compute_seconds) > 5 * (
@@ -65,17 +85,16 @@ class TestKernelCostModel:
         )
 
     def test_gather_memory_bound(self):
-        km = KernelCostModel(GTX_1080_TI)
         table = EmbeddingTable(1_000_000, 32, "t")
         w = SparseLengthsSum(table).workload([TensorSpec((4096, 120), "int64")])
-        p = km.profile(w)
+        p = device(GTX_1080_TI, w)
         assert p.memory_seconds > p.compute_seconds
 
     def test_gddr6_serves_gathers_better(self):
         table = EmbeddingTable(1_000_000, 32, "t")
         w = SparseLengthsSum(table).workload([TensorSpec((4096, 120), "int64")])
-        pascal = KernelCostModel(GTX_1080_TI).profile(w)
-        turing = KernelCostModel(T4).profile(w)
+        pascal = device(GTX_1080_TI, w)
+        turing = device(T4, w)
         # Despite 1080 Ti's higher raw bandwidth, GDDR6's better random
         # efficiency keeps T4 in the same league (paper Section IV #4).
         assert turing.memory_seconds < 1.5 * pascal.memory_seconds
@@ -86,9 +105,8 @@ class TestKernelCostModel:
         assert km_t4.arch_factor > km_gtx.arch_factor
 
     def test_zero_kernel_view_op_free(self):
-        km = KernelCostModel(T4)
         w = OpWorkload(op_kind="Reshape", kernel_launches=0)
-        assert km.profile(w).seconds == 0.0
+        assert device(T4, w).seconds == 0.0
 
 
 class TestGpuModel:

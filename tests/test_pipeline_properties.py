@@ -12,11 +12,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.hw import BROADWELL, CASCADE_LAKE, GTX_1080_TI, T4
-from repro.gpusim import KernelCostModel
+from repro.gpusim import GpuModel
 from repro.ops.workload import MemoryStream, OpWorkload, RANDOM, SEQUENTIAL
-from repro.uarch import CpuModel, DEFAULT_CONSTANTS, synthesize, topdown_from_events
-from repro.uarch.backend import BackendModel
-from repro.uarch.memory import MemoryModel
+from repro.uarch import CpuModel, topdown_from_events
 
 
 def workload_strategy():
@@ -45,6 +43,20 @@ def workload_strategy():
         kernel_launches=st.integers(min_value=1, max_value=4000),
         sequential_steps=st.integers(min_value=1, max_value=256),
     )
+
+
+def cpu_op(spec, workload):
+    profile = CpuModel(spec).profile_workloads(
+        "g", ["n"], [workload.op_kind], [workload]
+    )
+    return profile.op_profiles[0]
+
+
+def gpu_device(spec, workload):
+    profile = GpuModel(spec).profile_workloads(
+        "g", ["n"], [workload.op_kind], [workload]
+    )
+    return profile.op_profiles[0].device
 
 
 class TestCpuModelProperties:
@@ -113,44 +125,36 @@ class TestComponentProperties:
     @given(workload_strategy())
     def test_instruction_mix_nonnegative(self, workload):
         for spec in (BROADWELL, CASCADE_LAKE):
-            mix = synthesize(workload, spec, DEFAULT_CONSTANTS)
-            assert mix.total >= 0
-            assert mix.avx_instructions <= mix.total + 1e-6
+            events = cpu_op(spec, workload).events
+            assert events.instructions >= 0
+            assert events.avx_instructions <= events.instructions + 1e-6
 
     @given(workload_strategy())
     def test_memory_profile_conserves_accesses(self, workload):
-        mm = MemoryModel(BROADWELL, DEFAULT_CONSTANTS)
-        profile = mm.profile(workload)
+        op = cpu_op(BROADWELL, workload)
+        e = op.events
         total_levels = (
-            profile.l1_accesses
-            + profile.l2_accesses
-            + profile.l3_accesses
-            + profile.dram_accesses
+            e.l1d_accesses + e.l2_accesses + e.l3_accesses + e.dram_accesses
         )
         total_streams = sum(s.accesses for s in workload.streams)
         assert total_levels == pytest.approx(total_streams, rel=1e-6, abs=1e-6)
-        assert 0.0 <= profile.dram_occupancy <= 1.0
+        # Occupancy lies in [0, 1], so congestion never exceeds the stall.
+        assert 0.0 <= e.dram_congested_cycles
+        assert e.dram_congested_cycles <= op.memory_stall_cycles * (1 + 1e-12)
 
     @given(workload_strategy())
     def test_backend_histogram_simplex(self, workload):
-        bm = BackendModel(BROADWELL, DEFAULT_CONSTANTS)
-        mix = synthesize(workload, BROADWELL, DEFAULT_CONSTANTS)
-        profile = bm.profile(mix)
-        bm.port_histogram(profile, max(profile.execution_cycles, 1.0))
-        total = (
-            profile.ports_0_fraction
-            + profile.ports_1_2_fraction
-            + profile.ports_3_plus_fraction
-        )
-        assert total == pytest.approx(1.0, abs=1e-6)
+        op = cpu_op(BROADWELL, workload)
+        e = op.events
+        total = e.port_cycles_0 + e.port_cycles_1_2 + e.port_cycles_3_plus
+        assert total == pytest.approx(op.cycles, rel=1e-6)
 
 
 class TestGpuModelProperties:
     @given(workload_strategy())
     def test_kernel_time_at_least_launch_floor(self, workload):
         for spec in (GTX_1080_TI, T4):
-            km = KernelCostModel(spec)
-            profile = km.profile(workload)
+            profile = gpu_device(spec, workload)
             assert profile.seconds >= profile.launch_seconds
             assert profile.launch_seconds == pytest.approx(
                 workload.kernel_launches * spec.kernel_launch_us * 1e-6
@@ -159,7 +163,6 @@ class TestGpuModelProperties:
     @given(workload_strategy(), st.integers(min_value=2, max_value=8))
     def test_gpu_compute_monotonic_in_flops(self, workload, factor):
         assume(workload.flops > 1000)
-        km = KernelCostModel(T4)
         bigger = OpWorkload(
             op_kind=workload.op_kind,
             flops=workload.flops * factor,
@@ -174,4 +177,7 @@ class TestGpuModelProperties:
             kernel_launches=workload.kernel_launches,
             sequential_steps=workload.sequential_steps,
         )
-        assert km.profile(bigger).compute_seconds >= km.profile(workload).compute_seconds
+        assert (
+            gpu_device(T4, bigger).compute_seconds
+            >= gpu_device(T4, workload).compute_seconds
+        )

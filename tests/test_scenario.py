@@ -155,14 +155,29 @@ class TestRunBoundary:
             scheduler.run(100, 10)
 
 
+_NON_POSITIVE_COUNTS = [
+    pytest.param([command, flag, "0"], id=f"{flag}-{command}")
+    for flag in ("--queries", "--batch-size")
+    for command in ("resilience", "monitor", "explain", "shard")
+] + [
+    pytest.param(["characterize", "rm1", "--batch", "0"],
+                 id="--batch-characterize"),
+    pytest.param(["topdown", "--batch", "0"], id="--batch-topdown"),
+    pytest.param(["breakdown", "rm1", "--batch", "-1"], id="--batch-breakdown"),
+    pytest.param(["sweep", "--models", "ncf", "--batches", "0"],
+                 id="--batches-sweep"),
+    pytest.param(["optimal", "--batches", "16", "0"], id="--batches-optimal"),
+    pytest.param(["verify", "--batches", "0"], id="--batches-verify"),
+    pytest.param(["sweep", "--workers", "-2"], id="--workers-sweep"),
+    pytest.param(["optimal", "--workers", "0"], id="--workers-optimal"),
+]
+
+
 class TestCliUserErrors:
-    @pytest.mark.parametrize("command",
-                             ["resilience", "monitor", "explain", "shard"])
-    @pytest.mark.parametrize("flag", ["--queries", "--batch-size"])
-    def test_non_positive_counts_are_usage_errors(self, command, flag,
-                                                  capsys):
+    @pytest.mark.parametrize("argv", _NON_POSITIVE_COUNTS)
+    def test_non_positive_counts_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, flag, "0"])
+            main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "must be >= 1" in err

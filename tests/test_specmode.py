@@ -1,127 +1,26 @@
-"""Spec-mode profiling: bit-identity to the numeric path, cache
-behaviour, and the buffer-reuse planner.
+"""Spec-mode sweeps, the profile caches, and the buffer-reuse planner.
 
-The tentpole guarantee is exact: for every zoo model, batch size, and
-platform — raw and optimized graphs alike — spec mode's per-op seconds,
-bytes, FLOP-derived PMU events, and end-to-end splits must equal the
-scalar models' values bit for bit (``==``, not approx). Anything less
-would fork the characterization into two subtly different stories.
+A grid sweep stacks every (model, batch) table and evaluates each
+platform once; a cell-by-cell sweep evaluates one-cell stacks. Both run
+the same evaluator, and padding must never leak between cells, so the
+two must agree bit for bit (``==``, not approx).
 """
 
-import numpy as np
 import pytest
 
 from repro.core import SpeedupStudy
-from repro.graph import optimize, plan_buffers, execute
-from repro.gpusim import GpuModel
-from repro.hw import PLATFORM_ORDER, platform_by_name
+from repro.graph import plan_buffers, execute
+from repro.hw import PLATFORM_ORDER
 from repro.models import MODEL_ORDER, build_model
 from repro.ops import materialization_count, reset_materialization_count
-from repro.runtime import InferenceSession, clear_graph_cache
+from repro.runtime import InferenceSession, clear_graph_cache, graph_cache_stats
 from repro.runtime import specmode
-from repro.uarch import CpuModel
 from repro.workloads import QueryGenerator
 from repro import telemetry
 
-BATCHES = [1, 64, 16384]
-
-
-def _numeric_profile(graph, platform_name, input_nbytes):
-    spec = platform_by_name(platform_name)
-    if spec.kind == "cpu":
-        return CpuModel(spec).profile_graph(
-            graph, input_bytes=sum(input_nbytes)
-        )
-    return GpuModel(spec).profile_graph(
-        graph, input_tensor_bytes=list(input_nbytes)
-    )
-
-
-def _spec_profile(graph, platform_name, input_nbytes):
-    table = specmode.table_from_graph(graph, input_nbytes)
-    stacked = specmode.stack_tables([table])
-    return specmode._evaluate(stacked, platform_by_name(platform_name))[0].raw
-
-
-def _assert_cpu_identical(spec_raw, num_raw):
-    assert spec_raw.compute_seconds == num_raw.compute_seconds
-    assert spec_raw.data_load_seconds == num_raw.data_load_seconds
-    assert spec_raw.time_by_kind() == num_raw.time_by_kind()
-    assert list(spec_raw.time_by_kind()) == list(num_raw.time_by_kind())
-    assert spec_raw.events.as_dict() == num_raw.events.as_dict()
-    assert len(spec_raw.op_profiles) == len(num_raw.op_profiles)
-    for s, n in zip(spec_raw.op_profiles, num_raw.op_profiles):
-        assert s.node_name == n.node_name
-        assert s.op_kind == n.op_kind
-        assert s.cycles == n.cycles
-        assert s.execution_cycles == n.execution_cycles
-        assert s.memory_stall_cycles == n.memory_stall_cycles
-        assert s.frontend_stall_cycles == n.frontend_stall_cycles
-        assert s.bad_speculation_cycles == n.bad_speculation_cycles
-        assert s.core_bound_cycles == n.core_bound_cycles
-        assert s._time_seconds == n._time_seconds
-        assert s.events.as_dict() == n.events.as_dict()
-
-
-def _assert_gpu_identical(spec_raw, num_raw):
-    assert spec_raw.compute_seconds == num_raw.compute_seconds
-    assert spec_raw.data_comm_seconds == num_raw.data_comm_seconds
-    assert spec_raw.transfer.seconds == num_raw.transfer.seconds
-    assert spec_raw.time_by_kind() == num_raw.time_by_kind()
-    assert list(spec_raw.time_by_kind()) == list(num_raw.time_by_kind())
-    assert len(spec_raw.op_profiles) == len(num_raw.op_profiles)
-    for s, n in zip(spec_raw.op_profiles, num_raw.op_profiles):
-        assert s.node_name == n.node_name
-        assert s.op_kind == n.op_kind
-        assert s.device.op_kind == n.device.op_kind
-        assert s.device.kernel_count == n.device.kernel_count
-        assert s.device.launch_seconds == n.device.launch_seconds
-        assert s.device.compute_seconds == n.device.compute_seconds
-        assert s.device.memory_seconds == n.device.memory_seconds
-
 
 class TestBitIdentity:
-    """Spec mode == numeric mode, exactly, for every configuration."""
-
-    @pytest.mark.parametrize("name", MODEL_ORDER)
-    def test_raw_and_optimized_graphs_identical(self, name):
-        model = build_model(name)
-        for batch in BATCHES:
-            input_nbytes = [
-                d.spec.nbytes for d in model.input_descriptions(batch)
-            ]
-            raw_graph = model.build_graph(batch)
-            for graph in (raw_graph, optimize(raw_graph)):
-                for platform_name in PLATFORM_ORDER:
-                    num = _numeric_profile(graph, platform_name, input_nbytes)
-                    spec = _spec_profile(graph, platform_name, input_nbytes)
-                    if platform_by_name(platform_name).kind == "cpu":
-                        _assert_cpu_identical(spec, num)
-                    else:
-                        _assert_gpu_identical(spec, num)
-
-    @pytest.mark.parametrize("name", MODEL_ORDER)
-    def test_session_spec_mode_matches_numeric(self, name):
-        model = build_model(name)
-        for platform_name in ("broadwell", "t4"):
-            session = InferenceSession(model, platform_name)
-            num = session.profile(64)
-            spec = session.profile(64, mode="spec")
-            assert spec.compute_seconds == num.compute_seconds
-            assert spec.data_comm_seconds == num.data_comm_seconds
-            assert spec.op_time_by_kind == num.op_time_by_kind
-            assert (spec.events is None) == (num.events is None)
-            if num.events is not None:
-                assert spec.events.as_dict() == num.events.as_dict()
-            assert spec.model_name == num.model_name
-            assert spec.platform_name == num.platform_name
-            assert spec.platform_kind == num.platform_kind
-            assert spec.summary_scalars() == num.summary_scalars()
-
-    def test_session_rejects_unknown_mode(self):
-        session = InferenceSession(build_model("ncf"), "broadwell")
-        with pytest.raises(ValueError):
-            session.profile(8, mode="eager")
+    """Grid (stacked) and cell-by-cell sweeps agree exactly."""
 
     def test_sweep_spec_mode_matches_serial(self):
         models = {n: build_model(n) for n in MODEL_ORDER}
@@ -144,6 +43,18 @@ class TestBitIdentity:
                 models={"ncf": build_model("ncf")}, batch_sizes=[1]
             ).run(profile_mode="tensor")
 
+    @pytest.mark.parametrize("profile_mode", ["numeric", "spec"])
+    def test_sweep_rejects_unknown_pool_mode_serially(self, profile_mode):
+        study = SpeedupStudy(models={"ncf": build_model("ncf")}, batch_sizes=[1])
+        with pytest.raises(ValueError, match="sweep mode"):
+            study.run(workers=1, mode="bogus", profile_mode=profile_mode)
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_profile_rejects_batch_below_one(self, batch):
+        session = InferenceSession(build_model("ncf"), "t4")
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            session.profile(batch)
+
 
 class TestNoTensorData:
     def test_spec_sweep_materializes_nothing(self):
@@ -156,6 +67,20 @@ class TestNoTensorData:
 
 
 class TestSpecCaches:
+    def test_profile_shares_one_table_across_platforms(self):
+        clear_graph_cache()
+        specmode.clear_spec_caches()
+        model = build_model("rm1")
+        for platform in PLATFORM_ORDER:
+            InferenceSession(model, platform).profile(16)
+        stats = specmode.spec_cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, len(PLATFORM_ORDER) - 1)
+        # Every profile still looks its graph up once.
+        graphs = graph_cache_stats()
+        assert (graphs.misses, graphs.hits) == (1, len(PLATFORM_ORDER) - 1)
+        table = specmode.get_workload_table(model, 16)
+        assert table.stacked() is table.stacked()
+
     def test_table_cache_hit_on_equivalent_model(self):
         specmode.clear_spec_caches()
         specmode.get_workload_table(build_model("ncf"), 16)

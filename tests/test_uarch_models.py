@@ -1,4 +1,11 @@
-"""Tests for the CPU microarchitecture component models."""
+"""Tests for the CPU microarchitecture component models.
+
+Synthesis, branch, backend and memory behaviour are checked through
+one-op profiles of the full CPU model: each test asserts on the PMU
+events or op-profile fields its mechanism drives.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,13 +15,10 @@ from hypothesis import strategies as st
 from repro.hw import BROADWELL, CASCADE_LAKE
 from repro.ops.workload import MemoryStream, OpWorkload, RANDOM, SEQUENTIAL
 from repro.uarch import (
-    BackendModel,
-    BranchModel,
     CodeRegion,
+    CpuModel,
     DEFAULT_CONSTANTS,
     FrontendModel,
-    MemoryModel,
-    synthesize,
 )
 
 
@@ -24,34 +28,50 @@ def make_workload(**kwargs):
     return OpWorkload(**defaults)
 
 
+def profile_op(workload, spec=BROADWELL, constants=DEFAULT_CONSTANTS):
+    """One-op profile of ``workload`` on ``spec``."""
+    profile = CpuModel(spec, constants).profile_workloads(
+        "g", ["n"], [workload.op_kind], [workload]
+    )
+    (op,) = profile.op_profiles
+    return op
+
+
+def gather(parallelism, accesses=10_000):
+    return make_workload(
+        streams=(
+            MemoryStream(4 << 30, accesses, 128, RANDOM, 0.1,
+                         parallelism=parallelism),
+        )
+    )
+
+
 class TestSynthesize:
     def test_wider_simd_fewer_vector_instructions(self):
         w = make_workload()
-        bdw = synthesize(w, BROADWELL, DEFAULT_CONSTANTS)
-        clx = synthesize(w, CASCADE_LAKE, DEFAULT_CONSTANTS)
-        assert clx.vector_flop_instructions < bdw.vector_flop_instructions
-        assert clx.total < bdw.total  # Fig 11
+        bdw = profile_op(w, BROADWELL).events
+        clx = profile_op(w, CASCADE_LAKE).events
+        assert clx.avx_instructions < bdw.avx_instructions
+        assert clx.instructions < bdw.instructions  # Fig 11
 
     def test_vnni_reduces_fma_instructions_only(self):
         fma = make_workload(uses_fma=True)
         plain = make_workload(uses_fma=False)
-        c = DEFAULT_CONSTANTS
+
+        def clx_over_bdw(w):
+            return (
+                profile_op(w, CASCADE_LAKE).events.avx_instructions
+                / profile_op(w, BROADWELL).events.avx_instructions
+            )
+
         # Ratio of CLX/BDW vector instructions is lower for FMA ops
         # (VNNI bonus) than for plain vector ops.
-        ratio_fma = (
-            synthesize(fma, CASCADE_LAKE, c).vector_flop_instructions
-            / synthesize(fma, BROADWELL, c).vector_flop_instructions
-        )
-        ratio_plain = (
-            synthesize(plain, CASCADE_LAKE, c).vector_flop_instructions
-            / synthesize(plain, BROADWELL, c).vector_flop_instructions
-        )
-        assert ratio_fma < ratio_plain
+        assert clx_over_bdw(fma) < clx_over_bdw(plain)
 
     def test_avx_fraction_tracks_vector_fraction(self):
-        lo = synthesize(make_workload(vector_fraction=0.1), BROADWELL, DEFAULT_CONSTANTS)
-        hi = synthesize(make_workload(vector_fraction=0.97), BROADWELL, DEFAULT_CONSTANTS)
-        assert hi.avx_instructions / hi.total > lo.avx_instructions / lo.total
+        lo = profile_op(make_workload(vector_fraction=0.1)).events
+        hi = profile_op(make_workload(vector_fraction=0.97)).events
+        assert hi.avx_fraction > lo.avx_fraction
 
     def test_random_streams_cost_per_access_loads(self):
         seq = make_workload(
@@ -60,126 +80,125 @@ class TestSynthesize:
         rand = make_workload(
             streams=(MemoryStream(1 << 20, 1024, 64, RANDOM),)
         )
-        c = DEFAULT_CONSTANTS
         assert (
-            synthesize(rand, BROADWELL, c).vector_memory_instructions
-            >= synthesize(seq, BROADWELL, c).vector_memory_instructions
+            profile_op(rand).events.avx_instructions
+            >= profile_op(seq).events.avx_instructions
         )
 
     def test_stores_counted(self):
+        bare = profile_op(make_workload()).events
         w = make_workload(
             streams=(MemoryStream(4096, 64, 64, SEQUENTIAL, is_write=True),)
         )
-        mix = synthesize(w, BROADWELL, DEFAULT_CONSTANTS)
-        assert mix.store_instructions > 0
-        assert mix.load_instructions == 0
+        stored = profile_op(w).events
+        # Stores add instructions but no (vector) loads.
+        assert stored.instructions > bare.instructions
+        assert stored.avx_instructions == bare.avx_instructions
 
 
 class TestBranchModel:
     def test_zero_entropy_never_mispredicts(self):
-        bm = BranchModel(BROADWELL, DEFAULT_CONSTANTS)
-        p = bm.profile(make_workload(branches=10_000, branch_entropy=0.0))
-        assert p.mispredicts == 0
+        op = profile_op(make_workload(branches=10_000, branch_entropy=0.0))
+        assert op.events.branch_mispredicts == 0
+        assert op.bad_speculation_cycles == 0
 
     def test_cascade_lake_mispredicts_less(self):
         w = make_workload(branches=10_000, branch_entropy=0.3)
-        bdw = BranchModel(BROADWELL, DEFAULT_CONSTANTS).profile(w)
-        clx = BranchModel(CASCADE_LAKE, DEFAULT_CONSTANTS).profile(w)
-        assert clx.mispredicts < bdw.mispredicts  # Fig 15
-        assert clx.bad_speculation_cycles < bdw.bad_speculation_cycles
+        bdw = profile_op(w, BROADWELL)
+        clx = profile_op(w, CASCADE_LAKE)
+        assert clx.events.branch_mispredicts < bdw.events.branch_mispredicts
+        assert clx.bad_speculation_cycles < bdw.bad_speculation_cycles  # Fig 15
 
     def test_rate_scales_with_entropy(self):
-        bm = BranchModel(BROADWELL, DEFAULT_CONSTANTS)
-        assert bm.mispredict_rate(0.4) == pytest.approx(2 * bm.mispredict_rate(0.2))
+        def mispredicts(entropy):
+            w = make_workload(branches=10_000, branch_entropy=entropy)
+            return profile_op(w).events.branch_mispredicts
+
+        assert mispredicts(0.4) == pytest.approx(2 * mispredicts(0.2))
 
     def test_invalid_entropy_rejected(self):
-        bm = BranchModel(BROADWELL, DEFAULT_CONSTANTS)
         with pytest.raises(ValueError):
-            bm.mispredict_rate(1.5)
+            make_workload(branches=10, branch_entropy=1.5)
 
 
 class TestBackendModel:
     def test_execution_at_least_issue_limited(self):
-        bm = BackendModel(BROADWELL, DEFAULT_CONSTANTS)
-        mix = synthesize(make_workload(), BROADWELL, DEFAULT_CONSTANTS)
-        p = bm.profile(mix)
-        assert p.execution_cycles >= p.issue_cycles
-        assert p.core_bound_cycles >= 0
+        op = profile_op(make_workload())
+        issue_cycles = op.events.uops_retired / BROADWELL.issue_width
+        assert op.execution_cycles >= issue_cycles
+        assert 0 <= op.core_bound_cycles <= op.execution_cycles
 
     def test_port_histogram_is_distribution(self):
-        bm = BackendModel(BROADWELL, DEFAULT_CONSTANTS)
-        mix = synthesize(make_workload(flops=1_000_000), BROADWELL, DEFAULT_CONSTANTS)
-        p = bm.profile(mix)
-        bm.port_histogram(p, p.execution_cycles)
-        total = p.ports_0_fraction + p.ports_1_2_fraction + p.ports_3_plus_fraction
-        assert total == pytest.approx(1.0)
-        assert 0 <= p.avg_ports_busy <= 8
+        op = profile_op(make_workload(flops=1_000_000))
+        e = op.events
+        parts = (e.port_cycles_0, e.port_cycles_1_2, e.port_cycles_3_plus)
+        assert all(p >= 0 for p in parts)
+        assert sum(parts) == pytest.approx(op.cycles)
 
     def test_stall_cycles_dilute_port_usage(self):
-        bm = BackendModel(BROADWELL, DEFAULT_CONSTANTS)
-        mix = synthesize(make_workload(flops=1_000_000), BROADWELL, DEFAULT_CONSTANTS)
-        busy = bm.profile(mix)
-        bm.port_histogram(busy, busy.execution_cycles)
-        stalled = bm.profile(mix)
-        bm.port_histogram(stalled, busy.execution_cycles * 10)
-        assert stalled.ports_3_plus_fraction < busy.ports_3_plus_fraction
+        # Same uops; mispredicts add bad-speculation cycles with idle
+        # ports, diluting the 3+-busy share.
+        busy = profile_op(
+            make_workload(flops=1_000_000, branches=100_000, branch_entropy=0.0)
+        )
+        stalled = profile_op(
+            make_workload(flops=1_000_000, branches=100_000, branch_entropy=1.0)
+        )
+        assert stalled.events.uops_retired == busy.events.uops_retired
+        assert stalled.cycles > busy.cycles
+        assert (
+            stalled.events.port_cycles_3_plus / stalled.cycles
+            < busy.events.port_cycles_3_plus / busy.cycles
+        )
 
 
 class TestMemoryModel:
     def test_l1_resident_stream_no_stall(self):
-        mm = MemoryModel(BROADWELL, DEFAULT_CONSTANTS)
         w = make_workload(streams=(MemoryStream(8 * 1024, 100, 64, SEQUENTIAL),))
-        p = mm.profile(w)
-        assert p.stall_cycles == 0
-        assert p.dram_accesses == 0
+        op = profile_op(w)
+        assert op.memory_stall_cycles == 0
+        assert op.events.dram_accesses == 0
 
     def test_giant_gather_hits_dram(self):
-        mm = MemoryModel(BROADWELL, DEFAULT_CONSTANTS)
-        w = make_workload(
-            streams=(MemoryStream(4 << 30, 10_000, 128, RANDOM, 0.1, parallelism=80),)
-        )
-        p = mm.profile(w)
-        assert p.dram_accesses > 5000
-        assert p.stall_cycles > 0
+        op = profile_op(gather(parallelism=80))
+        assert op.events.dram_accesses > 5000
+        assert op.memory_stall_cycles > 0
 
     def test_more_parallel_lookups_higher_occupancy(self):
-        mm = MemoryModel(BROADWELL, DEFAULT_CONSTANTS)
+        # With a zero congestion threshold, congested cycles are exactly
+        # the memory stall scaled by the offcore-queue occupancy.
+        constants = dataclasses.replace(
+            DEFAULT_CONSTANTS, dram_congestion_threshold=0.0
+        )
+
         def occupancy(parallelism):
-            w = make_workload(
-                streams=(
-                    MemoryStream(4 << 30, 10_000, 128, RANDOM, 0.1,
-                                 parallelism=parallelism),
-                )
-            )
-            return mm.profile(w).dram_occupancy
+            op = profile_op(gather(parallelism), constants=constants)
+            return op.events.dram_congested_cycles / op.memory_stall_cycles
+
         assert occupancy(120) > occupancy(80) > occupancy(1)  # Fig 14 driver
 
     def test_congestion_rule_threshold(self):
-        mm = MemoryModel(BROADWELL, DEFAULT_CONSTANTS)
-        low = make_workload(
-            streams=(MemoryStream(4 << 30, 10_000, 128, RANDOM, 0.1, parallelism=1),)
-        )
-        high = make_workload(
-            streams=(MemoryStream(4 << 30, 10_000, 128, RANDOM, 0.1, parallelism=120),)
-        )
-        p_low, p_high = mm.profile(low), mm.profile(high)
-        assert mm.congested_cycles(p_low, 1e6) == 0.0
-        assert mm.congested_cycles(p_high, 1e9) > 0.0
+        low = profile_op(gather(parallelism=1))
+        high = profile_op(gather(parallelism=120))
+        assert low.events.dram_congested_cycles == 0.0
+        assert high.events.dram_congested_cycles > 0.0
 
     def test_gather_mlp_caps_at_offcore_depth(self):
-        mm = MemoryModel(BROADWELL, DEFAULT_CONSTANTS)
-        s = MemoryStream(1 << 30, 1000, 128, RANDOM, parallelism=100_000)
-        assert mm.gather_mlp(s) == BROADWELL.max_offcore_requests
+        def stall(parallelism):
+            return profile_op(gather(parallelism, accesses=1000)).memory_stall_cycles
+
+        # Beyond the offcore request depth, more lookups hide nothing.
+        assert stall(100_000) == stall(10_000_000)
+        assert stall(100_000) < stall(4)
 
     def test_sequential_dram_stream_bandwidth_bound(self):
-        mm = MemoryModel(BROADWELL, DEFAULT_CONSTANTS)
         nbytes = 1 << 30
         w = make_workload(
             streams=(MemoryStream(nbytes, nbytes // 64, 64, SEQUENTIAL),)
         )
-        p = mm.profile(w)
+        op = profile_op(w)
         bytes_per_cycle = BROADWELL.dram_bandwidth_gbps / BROADWELL.frequency_ghz
-        assert p.stall_cycles >= nbytes / bytes_per_cycle * 0.9
+        assert op.memory_stall_cycles >= nbytes / bytes_per_cycle * 0.9
 
 
 class TestFrontendModel:
