@@ -207,7 +207,6 @@ class _Streams(NamedTuple):
     is_random: np.ndarray
     sqrt_par: np.ndarray  # sqrt(max(parallelism, 1))
     total: np.ndarray  # accesses * granule
-    acc_f: np.ndarray  # accesses as float64
     live_acc: np.ndarray  # valid & accesses > 0
     w: np.ndarray  # valid writes
     r: np.ndarray  # valid random reads
@@ -224,10 +223,10 @@ class StackedTables:
 
     Node arrays are ``(cells, max_nodes)``; stream arrays are slot-major
     ``(max_streams, cells, max_nodes)``. Padding lanes are masked by
-    ``valid`` — evaluators
-    compute over the full arrays (junk lanes may produce inf/nan under
-    ``np.errstate(all="ignore")``) and select through the mask at every
-    accumulation, so padding never contaminates results.
+    ``valid`` — evaluators compute over the full arrays (junk lanes may
+    produce inf/nan under ``np.errstate(all="ignore")``) and select
+    through the mask at every accumulation, so padding never
+    contaminates results.
     """
 
     cells: List[WorkloadTable]
@@ -276,7 +275,6 @@ class StackedTables:
                 is_random=is_random,
                 sqrt_par=np.sqrt(np.maximum(self.s_parallelism, 1)),
                 total=acc * self.s_granule,
-                acc_f=acc.astype(np.float64),
                 live_acc=live_acc,
                 w=valid & is_write,
                 r=nonw & is_random,

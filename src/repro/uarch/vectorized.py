@@ -287,8 +287,8 @@ def profile_cells_cpu(
         nmp_cycles = zeros.copy()
         pooled_op = np.zeros(valid.shape, dtype=bool)
         for s, any_live in enumerate(streams.any_live):
-            acc, acc_f = streams.accesses[s], streams.acc_f[s]
-            sqrt_par, live = streams.sqrt_par[s], streams.live_acc[s]
+            acc, sqrt_par = streams.accesses[s], streams.sqrt_par[s]
+            live = streams.live_acc[s]
             rmask, smask = streams.rmask[s], streams.smask[s]
             if nmp is not None and streams.r[s].any():
                 # Near-memory gather-and-pool: the gathers run rank-locally
@@ -306,7 +306,6 @@ def profile_cells_cpu(
                 nmp_cycles = nmp_cycles + np.where(gather, near + command, 0.0)
                 pooled_op |= gather
                 acc = np.where(gather, pooled, acc)
-                acc_f = acc.astype(np.float64)
                 sqrt_par = np.where(gather, 1.0, sqrt_par)
                 live = streams.valid[s] & (acc > 0)
                 rmask = live & streams.r[s]
@@ -340,7 +339,7 @@ def profile_cells_cpu(
             in_l1 = fp <= l1b
             in_l2 = fp <= l2b
             in_l3 = fp <= l3b
-            s_l1 = np.where(in_l1, acc_f, np.where(in_l2, acc_loc, 0.0))
+            s_l1 = np.where(in_l1, acc, np.where(in_l2, acc_loc, 0.0))
             s_l2 = np.where(
                 in_l1,
                 0.0,
