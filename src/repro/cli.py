@@ -38,8 +38,8 @@ Commands mirror the characterization workflow:
 Every serving command (``resilience``, ``monitor``, ``explain``,
 ``shard``, ``trace --scheduler|--resilience``) is parse →
 :class:`~repro.monitor.scenario.Scenario` → run → render. User errors
-exit with one ``error:`` line: bad counts at argparse (exit 2), the
-rest from :func:`main` (exit 1).
+exit 2 with one ``error:`` line: bad counts at argparse, the rest from
+:func:`main`.
 """
 
 from __future__ import annotations
@@ -103,15 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="speedup-over-Broadwell table (Fig 3)")
     p.add_argument("--models", nargs="*", default=None, choices=MODEL_ORDER)
-    p.add_argument("--batches", nargs="*", type=_positive_int,
+    p.add_argument("--batches", nargs="+", type=_positive_int,
                    default=_PAPER_BATCHES)
-    _add_workers_arg(p)
-    p.add_argument(
-        "--mode", choices=["numeric", "spec"], default="numeric",
-        help="how the one cost evaluator covers the grid: 'numeric' "
-        "cell by cell (parallel with --workers), 'spec' as one stacked "
-        "evaluation per platform (identical results)",
-    )
     _add_sink_args(
         p, text_only=True,
         record_dir="also append one run record per sweep cell to this ledger",
@@ -120,9 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed stamped into recorded fingerprints")
 
     p = sub.add_parser("optimal", help="optimal-platform grid (Fig 5)")
-    p.add_argument("--batches", nargs="*", type=_positive_int,
+    p.add_argument("--batches", nargs="+", type=_positive_int,
                    default=_PAPER_BATCHES)
-    _add_workers_arg(p)
 
     p = sub.add_parser("topdown", help="TopDown table on both CPUs (Fig 8)")
     p.add_argument("--batch", type=_positive_int, default=16)
@@ -393,12 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_workers_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="parallel sweep workers (1 = serial; results are "
-                   "identical)")
-
-
 def _positive_int(text: str) -> int:
     """argparse type for counts: an integer >= 1."""
     try:
@@ -509,9 +495,7 @@ def _cmd_characterize(args) -> str:
 def _cmd_sweep(args) -> str:
     names = args.models if args.models else MODEL_ORDER
     models = {n: build_model(n) for n in names}
-    sweep = SpeedupStudy(models=models, batch_sizes=args.batches).run(
-        workers=args.workers, profile_mode=args.mode
-    )
+    sweep = SpeedupStudy(models=models, batch_sizes=args.batches).run()
     rows = [
         [model, batch]
         + [round(sweep.speedup(model, p, batch), 2) for p in PLATFORM_ORDER]
@@ -532,7 +516,7 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_optimal(args) -> str:
-    sweep = SpeedupStudy(batch_sizes=args.batches).run(workers=args.workers)
+    sweep = SpeedupStudy(batch_sizes=args.batches).run()
     cells = {
         (cell.model, cell.batch_size): f"{cell.platform} {cell.speedup:.1f}x"
         for cell in SpeedupStudy.optimal_platform_grid(sweep)
@@ -1274,9 +1258,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = handler(args)
     except (KeyError, ValueError, OSError) as exc:
         # User errors (unknown names, invalid values, unreadable or
-        # unwritable paths) end in one line, never a traceback.
+        # unwritable paths) end in one stderr line and exit 2, like
+        # argparse's usage errors, never a traceback.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        raise SystemExit(f"error: {message}") from None
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2) from None
     # Gate commands return (text, exit_code); the rest return text.
     text, code = result if isinstance(result, tuple) else (result, 0)
     try:

@@ -15,8 +15,8 @@ def seed_for(*key_parts: object) -> int:
 
     Uses BLAKE2b rather than Python's builtin ``hash``: the builtin is
     salted per process (``PYTHONHASHSEED``), which would materialize
-    *different* weights in every worker of a parallel sweep. A content
-    digest keeps the seed a pure function of the key text.
+    *different* weights in every interpreter run. A content digest
+    keeps the seed a pure function of the key text.
     """
     key = "\x1f".join(str(p) for p in key_parts).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")

@@ -107,8 +107,8 @@ class GraphCache:
         ``signature`` is ``model_signature(model)`` when the caller
         already has it. The build happens under the cache lock: with
         lazy parameters a build is cheap (shape inference only), and
-        holding the lock keeps concurrent sweep workers from building
-        the same graph twice.
+        holding the lock keeps concurrent callers from building the
+        same graph twice.
         """
         if signature is None:
             signature = model_signature(model)
@@ -183,8 +183,8 @@ def bypass_graph_cache():
     """Build graphs directly, skipping the cache (benchmark baseline)."""
     global _bypass
     prev = _bypass
-    # Benchmark-baseline toggle, flipped only from the benchmark's main
-    # thread before workers start; never raced against cache lookups.
+    # Benchmark-baseline toggle, flipped only from the benchmark's own
+    # thread around a sweep; never raced against cache lookups.
     _bypass = True  # repro: noqa(REP004)
     try:
         yield

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("dev", max_examples=30, deadline=None)
@@ -26,3 +27,23 @@ settings.register_profile("ci", max_examples=150, deadline=None)
 settings.load_profile(
     os.environ.get("HYPOTHESIS_PROFILE", "dev")  # repro: noqa(REP006)
 )
+
+
+@pytest.fixture
+def user_error(capsys):
+    """Run ``repro.cli.main(argv)`` expecting a user error.
+
+    A user error exits 2 with one ``error:`` line on stderr and no
+    traceback; the fixture returns that line.
+    """
+    from repro.cli import main
+
+    def run(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    return run

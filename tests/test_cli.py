@@ -105,11 +105,10 @@ class TestTraceCommand:
         stdout = capsys.readouterr().out
         assert "trace:" in stdout and "scheduler:" in stdout
 
-    def test_trace_unknown_model_exits_cleanly(self, tmp_path):
-        import pytest
-
-        with pytest.raises(SystemExit, match="unknown model"):
-            main(["trace", "--model", "bert", "-o", str(tmp_path / "x.json")])
+    def test_trace_unknown_model_exits_cleanly(self, tmp_path, user_error):
+        assert "unknown model" in user_error(
+            ["trace", "--model", "bert", "-o", str(tmp_path / "x.json")]
+        )
 
     def test_metrics_table(self, capsys):
         assert main([
@@ -180,9 +179,10 @@ class TestResilienceCommand:
         out = capsys.readouterr().out
         assert "trace:" in out
 
-    def test_unknown_model_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="unknown model"):
-            main(["resilience", "--model", "bert", "--queries", "50"])
+    def test_unknown_model_exits_cleanly(self, user_error):
+        assert "unknown model" in user_error(
+            ["resilience", "--model", "bert", "--queries", "50"]
+        )
 
 
 class TestLedgerCommands:
@@ -206,9 +206,10 @@ class TestLedgerCommands:
         assert self._record(tmp_path, split=True) == 0
         assert (tmp_path / "rm1_broadwell_b64.json").exists()
 
-    def test_record_unknown_platform_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown platform"):
-            main(["record", "--platforms", "tpu", "--out", str(tmp_path)])
+    def test_record_unknown_platform_exits_cleanly(self, tmp_path, user_error):
+        assert "unknown platform" in user_error(
+            ["record", "--platforms", "tpu", "--out", str(tmp_path)]
+        )
 
     def test_diff_two_paths_clean(self, capsys, tmp_path):
         self._record(tmp_path / "a")
@@ -269,9 +270,10 @@ class TestLedgerCommands:
         with pytest.raises(SystemExit):
             main(["diff", str(tmp_path / "a")])
 
-    def test_diff_missing_path_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such"):
-            main(["diff", str(tmp_path / "nope"), str(tmp_path / "nope")])
+    def test_diff_missing_path_exits_cleanly(self, tmp_path, user_error):
+        assert "no such" in user_error(
+            ["diff", str(tmp_path / "nope"), str(tmp_path / "nope")]
+        )
 
     def test_check_pass_warn_fail_exit_codes(self, capsys, tmp_path):
         self._record(tmp_path / "runs")
@@ -300,12 +302,13 @@ class TestLedgerCommands:
         ]) == 2
         assert "FAIL" in capsys.readouterr().out
 
-    def test_check_bad_rules_exit_cleanly(self, tmp_path):
+    def test_check_bad_rules_exit_cleanly(self, tmp_path, user_error):
         self._record(tmp_path / "runs")
         rules = tmp_path / "bad.toml"
         rules.write_text('[[rule]]\nmetric = "nope"\nmax = 1\n')
-        with pytest.raises(SystemExit, match="unknown metric"):
-            main(["check", str(tmp_path / "runs"), "--rules", str(rules)])
+        assert "unknown metric" in user_error(
+            ["check", str(tmp_path / "runs"), "--rules", str(rules)]
+        )
 
     def test_committed_ci_gate_passes(self, capsys):
         # The exact gate CI runs, against the committed artifacts.

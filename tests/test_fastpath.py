@@ -1,8 +1,8 @@
 """Tests for the profiling fast path.
 
-Covers the three tentpole pieces — lazy parameter materialization, the
-process-level shared graph cache, and the parallel sweep engine — plus
-the stable seeding that replaces salted ``hash()``:
+Covers lazy parameter materialization, the process-level shared graph
+cache and the one-process sweep, plus the stable seeding that replaces
+salted ``hash()``:
 
 * ``seed_for`` / ``rng_for`` are content digests, cross-checked against
   pinned values (they must survive interpreter restarts and any
@@ -10,8 +10,7 @@ the stable seeding that replaces salted ``hash()``:
 * ``profile()`` materializes zero parameter arrays;
 * lazy ``run()`` is bit-identical to eager construction for every zoo
   model;
-* parallel sweeps (thread and process) merge to exactly the serial
-  result.
+* sweeps run in one process and refuse ``workers > 1``.
 """
 
 import numpy as np
@@ -106,7 +105,9 @@ class TestLazyParams:
         models = {name: build_model(name) for name in MODEL_ORDER}
         clear_graph_cache()
         reset_materialization_count()
-        SpeedupStudy(models=models, batch_sizes=[1, 64]).run()
+        SpeedupStudy(models=models, batch_sizes=[1, 64]).run(
+            profile_mode="numeric"
+        )
         assert materialization_count() == 0
 
     def test_parameter_bytes_spec_based(self):
@@ -158,83 +159,17 @@ class TestGraphCache:
         assert session.graph(4) is cached
 
 
-def _profiles_equal(a, b) -> bool:
-    fields = ("model_name", "platform_name", "platform_kind", "batch_size")
-    if any(getattr(a, f) != getattr(b, f) for f in fields):
-        return False
-    return (
-        a.compute_seconds == b.compute_seconds
-        and a.data_comm_seconds == b.data_comm_seconds
-        and a.op_time_by_kind == b.op_time_by_kind
-        and a.events == b.events
-    )
+class TestSweep:
+    def test_workers_above_one_rejected(self):
+        study = SpeedupStudy(models={"ncf": build_model("ncf")}, batch_sizes=[1])
+        with pytest.raises(ValueError, match="one process"):
+            study.run(workers=2)
 
-
-class TestParallelSweep:
-    BATCHES = [1, 16, 256]
-
-    def _study(self):
-        models = {name: build_model(name) for name in ("ncf", "rm2", "din")}
-        return SpeedupStudy(models=models, batch_sizes=self.BATCHES)
-
-    @pytest.mark.parametrize("mode", ["thread", "process", "auto"])
-    def test_parallel_matches_serial(self, mode):
-        serial = self._study().run()
-        parallel = self._study().run(workers=4, mode=mode)
-        assert list(serial.profiles) == list(parallel.profiles)
-        for key in serial.profiles:
-            assert _profiles_equal(serial.profiles[key], parallel.profiles[key])
-
-    def test_workers_one_is_serial(self):
-        a = self._study().run()
-        b = self._study().run(workers=1)
-        assert list(a.profiles) == list(b.profiles)
-        for key in a.profiles:
-            assert _profiles_equal(a.profiles[key], b.profiles[key])
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            self._study().run(workers=2, mode="fiber")
-
-    def test_all_zoo_models_process_safe(self):
-        # Process mode rebuilds models by name in the workers; every
-        # factory model must round-trip to an identical signature.
+    def test_zoo_factories_rebuild_identical_signatures(self):
+        # Ledger fingerprints identify a model by its structural
+        # signature; every factory must rebuild to an identical one.
         for name, factory in MODEL_FACTORIES.items():
             assert factory().graph_signature() == factory().graph_signature(), name
-
-    def _auto_pool_modes(self, study, workers=2):
-        from repro import telemetry
-
-        with telemetry.capture() as (_, registry):
-            study.run(workers=workers, mode="auto")
-        return [
-            (m["labels"].get("mode"), m["value"])
-            for m in registry.snapshot()
-            if m["name"] == "sweep.pool_mode"
-        ]
-
-    def test_auto_stays_on_threads_when_serialization_dominates(self):
-        # Cell work here (sum of batches = 273) is far below the
-        # threshold: pickling models across a process pool would cost
-        # more than the profiling itself, so auto must pick threads —
-        # and record the decision.
-        from repro.core.speedup import PROCESS_POOL_MIN_WORK
-
-        study = self._study()
-        assert sum(study.batch_sizes) < PROCESS_POOL_MIN_WORK
-        assert self._auto_pool_modes(study) == [("thread", 1.0)]
-
-    def test_auto_picks_processes_above_work_threshold(self, monkeypatch):
-        # Lower the threshold instead of profiling a 200k-query cell;
-        # the decision reads the module global at run time.
-        from repro.core import speedup as speedup_mod
-
-        monkeypatch.setattr(speedup_mod, "PROCESS_POOL_MIN_WORK", 10)
-        assert self._auto_pool_modes(self._study()) == [("process", 1.0)]
-
-    def test_auto_serial_run_records_no_pool_mode(self):
-        # workers=1 never consults the pool heuristic.
-        assert self._auto_pool_modes(self._study(), workers=1) == []
 
 
 class TestObserveMany:

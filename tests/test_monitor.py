@@ -478,13 +478,12 @@ class TestMonitorCli:
         assert doc["windows"], "JSON document must carry the timeline"
         assert doc["meta"]["scenario"] == "drops"
 
-    def test_report_rejects_record_without_timeseries(self, tmp_path, capsys):
+    def test_report_rejects_record_without_timeseries(self, tmp_path, user_error):
         from repro.ledger import RunLedger, record_run
 
         ledger = RunLedger(tmp_path / "plain")
         ledger.append(record_run("ncf", "broadwell", batch_size=16, queries=0))
-        with pytest.raises(SystemExit, match="no record"):
-            main(["report", str(tmp_path / "plain")])
+        assert "no record" in user_error(["report", str(tmp_path / "plain")])
 
     def test_report_html_output(self, tmp_path, capsys):
         from repro.ledger import RunLedger, fingerprint_for, record_schedule

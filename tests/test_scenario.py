@@ -3,7 +3,7 @@
 ``Scenario`` validates a serving operating point once, at
 construction; the schedulers share one run-argument check; the CLI
 rejects non-positive counts at argparse and maps the remaining user
-errors to a one-line exit.
+errors to a one-line exit 2.
 """
 
 import numpy as np
@@ -155,42 +155,57 @@ class TestRunBoundary:
             scheduler.run(100, 10)
 
 
-_NON_POSITIVE_COUNTS = [
-    pytest.param([command, flag, "0"], id=f"{flag}-{command}")
+_AT_LEAST_ONE = "must be >= 1"
+
+_USAGE_ERRORS = [
+    pytest.param([command, flag, "0"], _AT_LEAST_ONE, id=f"{flag}-{command}")
     for flag in ("--queries", "--batch-size")
     for command in ("resilience", "monitor", "explain", "shard")
 ] + [
-    pytest.param(["characterize", "rm1", "--batch", "0"],
+    pytest.param(["characterize", "rm1", "--batch", "0"], _AT_LEAST_ONE,
                  id="--batch-characterize"),
-    pytest.param(["topdown", "--batch", "0"], id="--batch-topdown"),
-    pytest.param(["breakdown", "rm1", "--batch", "-1"], id="--batch-breakdown"),
+    pytest.param(["topdown", "--batch", "0"], _AT_LEAST_ONE,
+                 id="--batch-topdown"),
+    pytest.param(["breakdown", "rm1", "--batch", "-1"], _AT_LEAST_ONE,
+                 id="--batch-breakdown"),
     pytest.param(["sweep", "--models", "ncf", "--batches", "0"],
-                 id="--batches-sweep"),
-    pytest.param(["optimal", "--batches", "16", "0"], id="--batches-optimal"),
-    pytest.param(["verify", "--batches", "0"], id="--batches-verify"),
-    pytest.param(["sweep", "--workers", "-2"], id="--workers-sweep"),
-    pytest.param(["optimal", "--workers", "0"], id="--workers-optimal"),
+                 _AT_LEAST_ONE, id="--batches-sweep"),
+    pytest.param(["optimal", "--batches", "16", "0"], _AT_LEAST_ONE,
+                 id="--batches-optimal"),
+    pytest.param(["verify", "--batches", "0"], _AT_LEAST_ONE,
+                 id="--batches-verify"),
+    pytest.param(["sweep", "--batches"], "expected at least one argument",
+                 id="--batches-empty-sweep"),
+    pytest.param(["optimal", "--batches"], "expected at least one argument",
+                 id="--batches-empty-optimal"),
 ]
 
 
 class TestCliUserErrors:
-    @pytest.mark.parametrize("argv", _NON_POSITIVE_COUNTS)
-    def test_non_positive_counts_are_usage_errors(self, argv, capsys):
+    @pytest.mark.parametrize("argv,message", _USAGE_ERRORS)
+    def test_non_positive_counts_are_usage_errors(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "usage:" in err and "must be >= 1" in err
+        assert "usage:" in err and message in err
 
     def test_zero_queries_still_disables_characterization_runs(self):
         for command in ("trace", "metrics", "record"):
             assert build_parser().parse_args([command, "--queries", "0"]
                                              ).queries == 0
 
-    def test_unknown_model_is_one_line(self):
-        with pytest.raises(SystemExit, match="^error: unknown model"):
-            main(["monitor", "--model", "bert"])
+    def test_unknown_model_is_one_line(self, user_error):
+        assert user_error(["monitor", "--model", "bert"]).startswith(
+            "error: unknown model"
+        )
 
-    def test_bad_value_is_one_line(self):
-        with pytest.raises(SystemExit, match="^error: qps must be"):
-            main(["explain", "--qps", "-5"])
+    def test_bad_value_is_one_line(self, user_error):
+        assert user_error(["explain", "--qps", "-5"]).startswith(
+            "error: qps must be"
+        )
+
+    def test_duplicate_batches_is_one_line(self, user_error):
+        assert user_error(
+            ["sweep", "--models", "ncf", "--batches", "16", "16"]
+        ).startswith("error: duplicate batch sizes")

@@ -24,10 +24,10 @@ class TestBitIdentity:
 
     def test_sweep_spec_mode_matches_serial(self):
         models = {n: build_model(n) for n in MODEL_ORDER}
-        serial = SpeedupStudy(models=models, batch_sizes=[1, 64]).run()
-        spec = SpeedupStudy(models=models, batch_sizes=[1, 64]).run(
-            profile_mode="spec"
+        serial = SpeedupStudy(models=models, batch_sizes=[1, 64]).run(
+            profile_mode="numeric"
         )
+        spec = SpeedupStudy(models=models, batch_sizes=[1, 64]).run()
         assert list(serial.profiles) == list(spec.profiles)
         for key, num in serial.profiles.items():
             got = spec.profiles[key]
@@ -43,11 +43,16 @@ class TestBitIdentity:
                 models={"ncf": build_model("ncf")}, batch_sizes=[1]
             ).run(profile_mode="tensor")
 
-    @pytest.mark.parametrize("profile_mode", ["numeric", "spec"])
-    def test_sweep_rejects_unknown_pool_mode_serially(self, profile_mode):
-        study = SpeedupStudy(models={"ncf": build_model("ncf")}, batch_sizes=[1])
-        with pytest.raises(ValueError, match="sweep mode"):
-            study.run(workers=1, mode="bogus", profile_mode=profile_mode)
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(models={}), "at least one model"),
+        (dict(platform_names=[]), "broadwell baseline"),
+        (dict(batch_sizes=[]), "at least one batch size"),
+        (dict(batch_sizes=[16, 1, 16]), "duplicate batch sizes"),
+    ])
+    def test_sweep_rejects_bad_grid(self, kwargs, match):
+        fields = {"models": {"ncf": build_model("ncf")}, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            SpeedupStudy(**fields)
 
     @pytest.mark.parametrize("batch", [0, -3])
     def test_profile_rejects_batch_below_one(self, batch):
