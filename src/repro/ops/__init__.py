@@ -9,7 +9,6 @@ from repro.ops.fc import FC
 from repro.ops.fused import FusedElementwise, FusedFC, GroupedSparseLengthsSum
 from repro.ops.lazy import (
     LazyParam,
-    eager_params,
     materialization_count,
     reset_materialization_count,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "operator_class",
     "all_kinds",
     "LazyParam",
-    "eager_params",
     "materialization_count",
     "reset_materialization_count",
 ]

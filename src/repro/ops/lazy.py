@@ -7,20 +7,16 @@ initializer recipe — shape, dtype, init function name, and the seed
 key fed to :func:`repro.ops.initializers.rng_for` — and materializes
 the NumPy array on first numeric access. ``profile()`` over a freshly
 built graph allocates nothing; ``run()`` sees exactly the array the
-recipe describes, independent of when (or in which thread/process) it
+recipe describes, independent of when (or in which thread) it
 is materialized.
 
 The module also keeps a process-wide materialization counter so tests
-and benchmarks can assert that a profiling path stayed allocation-free,
-and an ``eager_params()`` escape hatch that restores construction-time
-materialization (used by ``benchmarks/bench_selfspeed.py`` to measure
-the fast path against the old behavior).
+and benchmarks can assert that a profiling path stayed allocation-free.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,13 +28,10 @@ __all__ = [
     "LazyParam",
     "materialization_count",
     "reset_materialization_count",
-    "eager_params",
-    "eager_params_enabled",
 ]
 
 _lock = threading.Lock()
 _materializations = 0
-_eager = False
 
 
 def materialization_count() -> int:
@@ -50,28 +43,6 @@ def reset_materialization_count() -> None:
     global _materializations
     with _lock:
         _materializations = 0
-
-
-def eager_params_enabled() -> bool:
-    return _eager
-
-
-@contextmanager
-def eager_params():
-    """Materialize parameters at construction time (the old behavior).
-
-    Only affects :class:`LazyParam` objects *created* inside the
-    context; existing lazy parameters are untouched.
-    """
-    global _eager
-    prev = _eager
-    # Single-threaded test/benchmark escape hatch: the flag is read only
-    # at LazyParam construction, never concurrently with this toggle.
-    _eager = True  # repro: noqa(REP004)
-    try:
-        yield
-    finally:
-        _eager = prev  # repro: noqa(REP004)
 
 
 def _init_xavier_uniform(shape, rng, scale):
@@ -126,8 +97,6 @@ class LazyParam:
         self.seed_key = tuple(seed_key)
         self.scale = scale
         self._value: Optional[np.ndarray] = None
-        if _eager and init != "adopted":
-            self.materialize()
 
     @classmethod
     def from_array(cls, array: np.ndarray) -> "LazyParam":
@@ -181,13 +150,6 @@ class LazyParam:
             # the cache entry exists.)
             return (self.shape, self.dtype, self.init, id(self._value))
         return (self.shape, self.dtype, self.init, self.seed_key, self.scale)
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "materialized" if self.is_materialized else "lazy"

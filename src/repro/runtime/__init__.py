@@ -3,7 +3,6 @@
 from repro.runtime.graph_cache import (
     GraphCache,
     GraphCacheStats,
-    bypass_graph_cache,
     clear_graph_cache,
     get_graph,
     graph_cache_stats,
@@ -40,6 +39,5 @@ __all__ = [
     "get_graph",
     "clear_graph_cache",
     "graph_cache_stats",
-    "bypass_graph_cache",
     "signature_digest",
 ]

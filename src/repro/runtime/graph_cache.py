@@ -12,7 +12,8 @@ configuration never alias.
 
 Entries are kept in LRU order with a bounded capacity so long-running
 variant sweeps (which generate hundreds of distinct models) cannot grow
-the cache without bound.
+the cache without bound. :class:`LRUCache` is that policy on its own;
+the workload-table cache in :mod:`repro.runtime.specmode` uses it too.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro import telemetry
 from repro.analysis import assert_verified
@@ -31,10 +31,11 @@ from repro.graph import Graph
 __all__ = [
     "GraphCache",
     "GraphCacheStats",
+    "LRUCache",
+    "cache_key",
     "get_graph",
     "clear_graph_cache",
     "graph_cache_stats",
-    "bypass_graph_cache",
     "model_signature",
     "signature_digest",
 ]
@@ -87,17 +88,60 @@ class GraphCacheStats:
         }
 
 
-class GraphCache:
-    """Bounded LRU cache of built graphs, safe for concurrent sweeps."""
+class LRUCache:
+    """Bounded, thread-safe LRU map that builds entries on a miss."""
 
     def __init__(self, maxsize: int = 256) -> None:
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self.maxsize = maxsize
-        self._graphs: "OrderedDict[Tuple, Graph]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(
+        self, key: Hashable, build: Callable[[], object]
+    ) -> Tuple[object, bool]:
+        """``(value, hit)`` for ``key``, calling ``build()`` on a miss.
+
+        The build runs under the lock, so concurrent callers never build
+        one key twice; a build that raises caches and counts nothing.
+        """
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return value, True
+            value = build()
+            self._entries[key] = value
+            self.misses += 1
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+            return value, False
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def cache_key(
+    model, batch_size: int, signature: Optional[Tuple] = None
+) -> Tuple:
+    """``(model name, batch size, structural signature)`` cache key."""
+    if signature is None:
+        signature = model_signature(model)
+    return (getattr(model, "name", type(model).__name__), batch_size, signature)
+
+
+class GraphCache(LRUCache):
+    """Bounded LRU cache of built, verified graphs."""
 
     def get(
         self, model, batch_size: int, signature: Optional[Tuple] = None
@@ -105,54 +149,30 @@ class GraphCache:
         """The cached graph for ``(model, batch_size)``, building on miss.
 
         ``signature`` is ``model_signature(model)`` when the caller
-        already has it. The build happens under the cache lock: with
-        lazy parameters a build is cheap (shape inference only), and
-        holding the lock keeps concurrent callers from building the
-        same graph twice.
+        already has it. A cached graph is served to every session and
+        platform, so a graph the static verifier rejects is never
+        cached (``assert_verified`` raises ``GraphVerifyError``).
         """
-        if signature is None:
-            signature = model_signature(model)
-        key = (getattr(model, "name", type(model).__name__), batch_size, signature)
-        with self._lock:
-            graph = self._graphs.get(key)
-            if graph is not None:
-                self._graphs.move_to_end(key)
-                self._hits += 1
-                hit = True
-            else:
-                graph = model.build_graph(batch_size)
-                # A cached graph is served to every session and
-                # platform: refuse to cache anything the static
-                # verifier rejects (raises GraphVerifyError).
-                assert_verified(graph)
-                self._graphs[key] = graph
-                self._misses += 1
-                hit = False
-                while len(self._graphs) > self.maxsize:
-                    self._graphs.popitem(last=False)
+
+        def build() -> Graph:
+            graph = model.build_graph(batch_size)
+            assert_verified(graph)
+            return graph
+
+        graph, hit = self.lookup(cache_key(model, batch_size, signature), build)
         if telemetry.enabled():
             name = "graph_cache.hits" if hit else "graph_cache.misses"
             telemetry.get_registry().counter(name).inc()
         return graph
 
-    def clear(self) -> None:
-        with self._lock:
-            self._graphs.clear()
-            self._hits = 0
-            self._misses = 0
-
     def stats(self) -> GraphCacheStats:
         with self._lock:
             return GraphCacheStats(
-                hits=self._hits, misses=self._misses, size=len(self._graphs)
+                hits=self.hits, misses=self.misses, size=len(self._entries)
             )
-
-    def __len__(self) -> int:
-        return len(self._graphs)
 
 
 _GLOBAL = GraphCache()
-_bypass = False
 
 
 def get_graph(
@@ -165,8 +185,6 @@ def get_graph(
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
-    if _bypass:
-        return model.build_graph(batch_size)
     return _GLOBAL.get(model, batch_size, signature)
 
 
@@ -176,17 +194,3 @@ def clear_graph_cache() -> None:
 
 def graph_cache_stats() -> GraphCacheStats:
     return _GLOBAL.stats()
-
-
-@contextmanager
-def bypass_graph_cache():
-    """Build graphs directly, skipping the cache (benchmark baseline)."""
-    global _bypass
-    prev = _bypass
-    # Benchmark-baseline toggle, flipped only from the benchmark's own
-    # thread around a sweep; never raced against cache lookups.
-    _bypass = True  # repro: noqa(REP004)
-    try:
-        yield
-    finally:
-        _bypass = prev  # repro: noqa(REP004)

@@ -127,18 +127,20 @@ class ServiceTimeModel:
 
         Profiles the batch sizes dynamic batching actually dispatches —
         a lone query, a quarter batch, a full batch — plus twice the
-        batch so interpolation never clamps at the top.
+        batch so a full batch is interpolated, never extrapolated.
         """
         knots = sorted({1, max(2, batch_size // 4), batch_size, 2 * batch_size})
         return cls.from_profiles([session.profile(b) for b in knots])
 
     def _interpolate(self, values: List[float], batch_size: int) -> float:
-        """Log-linear interpolation, clamped to the profiled knot range.
+        """Log-linear interpolation between knots.
 
-        Clamping (rather than extrapolating the last segment's slope)
-        keeps out-of-range queries honest: beyond the profiled grid we
-        have no data, and a silently extrapolated latency can go wild
-        or even negative. Callers who care should profile wider grids.
+        Below the first knot the value is flat (a batch never costs less
+        than the smallest profiled one). Above the top knot it grows by
+        the last segment's per-query marginal cost, floored at zero:
+        ``t_top + (b - b_top) * max(0, (t_top - t_prev) / (b_top - b_prev))``.
+        Holding it flat instead would let throughput grow without bound
+        past the profiled grid. A one-knot model stays flat.
         """
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
@@ -146,7 +148,10 @@ class ServiceTimeModel:
         if batch_size <= batches[0]:
             return values[0]
         if batch_size >= batches[-1]:
-            return values[-1]
+            if len(batches) == 1:
+                return values[-1]
+            marginal = (values[-1] - values[-2]) / (batches[-1] - batches[-2])
+            return values[-1] + (batch_size - batches[-1]) * max(0.0, marginal)
         hi = bisect_left(batches, batch_size)
         lo = hi - 1
         # Interpolate in log-batch space (latency curves are smooth there).
@@ -155,7 +160,7 @@ class ServiceTimeModel:
         return float(values[lo] * (1 - t) + values[hi] * t)
 
     def seconds(self, batch_size: int) -> float:
-        """Latency of one batch, log-linearly interpolated (clamped)."""
+        """Latency of one batch (see :meth:`_interpolate`)."""
         return self._interpolate(self._times, batch_size)
 
     def comm_seconds(self, batch_size: int) -> float:

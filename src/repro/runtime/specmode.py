@@ -15,7 +15,7 @@ Every profile — one cell from :meth:`InferenceSession.profile
    traffic once.
 2. A grid sweep pads all its tables into one
    :class:`~repro.ops.tables.StackedTables` and evaluates each platform
-   once over every cell; repeated identical sweeps come from a memo.
+   once over every cell.
 
 No tensor data is ever allocated: tables read only specs and workload
 descriptors.
@@ -23,8 +23,6 @@ descriptors.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
@@ -52,122 +50,44 @@ __all__ = [
 ]
 
 
-class _TableCache:
-    """Bounded LRU of workload tables, keyed like the graph cache."""
+#: Workload tables by ``graph_cache.cache_key``: platform-independent,
+#: so one entry serves every platform of a (model, batch) cell.
+_TABLES = graph_cache.LRUCache(maxsize=512)
 
-    def __init__(self, maxsize: int = 512) -> None:
-        self.maxsize = maxsize
-        self._tables: "OrderedDict[Tuple, WorkloadTable]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
 
-    def get(
-        self,
-        model,
-        batch: int,
-        signature: Optional[Tuple] = None,
-        graph: Optional[Graph] = None,
-    ) -> WorkloadTable:
-        """The table for ``(model, batch)``, built on a miss from
-        ``graph`` (or from the graph cache when none is given)."""
-        if signature is None:
-            signature = graph_cache.model_signature(model)
-        key = (getattr(model, "name", type(model).__name__), batch, signature)
-        with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                self._tables.move_to_end(key)
-                self._hits += 1
-                return table
-        if graph is None:
-            graph = graph_cache.get_graph(model, batch, signature)
+def _table(
+    model,
+    batch: int,
+    signature: Optional[Tuple] = None,
+    graph: Optional[Graph] = None,
+) -> WorkloadTable:
+    """The table for ``(model, batch)``, built on a miss from ``graph``
+    (or from the graph cache when none is given)."""
+    if signature is None:
+        signature = graph_cache.model_signature(model)
+
+    def build() -> WorkloadTable:
+        source = (
+            graph if graph is not None
+            else graph_cache.get_graph(model, batch, signature)
+        )
         input_nbytes = [
             desc.spec.nbytes for desc in model.input_descriptions(batch)
         ]
-        table = table_from_graph(
-            graph,
+        return table_from_graph(
+            source,
             input_nbytes,
-            model_name=getattr(model, "name", graph.name),
+            model_name=getattr(model, "name", source.name),
             batch=batch,
         )
-        with self._lock:
-            self._misses += 1
-            self._tables[key] = table
-            while len(self._tables) > self.maxsize:
-                self._tables.popitem(last=False)
-        return table
 
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-            self._hits = 0
-            self._misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._tables),
-            }
-
-
-_TABLES = _TableCache()
-
-
-class _SweepMemo:
-    """Bounded memo of stacked tables + per-platform evaluations.
-
-    Keyed by the identity of the (LRU-cached, immutable) workload
-    tables, with strong references held so ids stay stable. A model
-    edit changes its ``graph_signature`` and therefore misses the table
-    cache, which in turn misses here — no staleness. Entries cache the
-    stacked arrays and, per platform, the evaluated profile lists, so
-    repeated identical sweeps (monitor loops, benchmark arms) skip the
-    vectorized evaluation.
-    """
-
-    def __init__(self, maxsize: int = 4) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def entry(
-        self, tables: Sequence[WorkloadTable]
-    ) -> Tuple[StackedTables, Dict[str, List[InferenceProfile]]]:
-        key = tuple(id(t) for t in tables)
-        with self._lock:
-            found = self._entries.get(key)
-            if found is not None:
-                self._entries.move_to_end(key)
-                return found[1], found[2]
-        stacked = stack_tables(tables)
-        evals: Dict[str, List[InferenceProfile]] = {}
-        with self._lock:
-            found = self._entries.get(key)
-            if found is not None:
-                return found[1], found[2]
-            self._entries[key] = (list(tables), stacked, evals)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return stacked, evals
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-_SWEEPS = _SweepMemo()
+    key = graph_cache.cache_key(model, batch, signature)
+    return _TABLES.lookup(key, build)[0]
 
 
 def get_workload_table(model, batch: int) -> WorkloadTable:
     """Fetch (or build) the workload table for ``(model, batch)``."""
-    return _TABLES.get(model, batch)
+    return _table(model, batch)
 
 
 def _tables_for_sweep(
@@ -183,22 +103,23 @@ def _tables_for_sweep(
         name: graph_cache.model_signature(models[name]) for name in models
     }
     tables = [
-        _TABLES.get(models[name], batch, signature=signatures[name])
+        _table(models[name], batch, signature=signatures[name])
         for name, batch in pairs
     ]
     return pairs, tables
 
 
 def clear_spec_caches() -> None:
-    """Drop cached workload tables and sweep evaluations."""
+    """Drop cached workload tables and their hit/miss counts."""
     _TABLES.clear()
-    _SWEEPS.clear()
 
 
 def spec_cache_stats() -> Dict[str, int]:
-    stats = _TABLES.stats()
-    stats["sweep_entries"] = len(_SWEEPS)
-    return stats
+    return {
+        "hits": _TABLES.hits,
+        "misses": _TABLES.misses,
+        "size": len(_TABLES),
+    }
 
 
 # -- top-level profiling API -------------------------------------------------
@@ -258,7 +179,7 @@ def profile_spec(
     spec = platform_by_name(platform) if isinstance(platform, str) else platform
     signature = graph_cache.model_signature(model)
     graph = graph_cache.get_graph(model, batch, signature)
-    table = _TABLES.get(model, batch, signature, graph)
+    table = _table(model, batch, signature, graph)
     return _evaluate(table.stacked(), spec, constants)[0]
 
 
@@ -273,21 +194,13 @@ def profile_spec_sweep(
     single vectorized evaluation over every cell. The returned dict is
     keyed and ordered exactly like the cell-by-cell sweep merge:
     ``(model, platform, batch)`` in canonical serial order.
-
-    Repeated sweeps over unchanged models return memoized profile
-    objects (the tables are immutable and the evaluation is a pure
-    function of table + platform); ``clear_spec_caches`` resets this.
     """
     pairs, tables = _tables_for_sweep(models, batch_sizes)
-    stacked, evals = _SWEEPS.entry(tables)
-
-    by_platform: Dict[str, List[InferenceProfile]] = {}
-    for platform_name in platform_names:
-        profs = evals.get(platform_name)
-        if profs is None:
-            profs = _evaluate(stacked, platform_by_name(platform_name))
-            evals[platform_name] = profs
-        by_platform[platform_name] = profs
+    stacked = stack_tables(tables)
+    by_platform = {
+        name: _evaluate(stacked, platform_by_name(name))
+        for name in platform_names
+    }
 
     index = {pair: i for i, pair in enumerate(pairs)}
     profiles: Dict[Tuple[str, str, int], InferenceProfile] = {}

@@ -72,9 +72,6 @@ class _CounterTrack:
         if value:
             self.add(index, float(value))
 
-    def summary_value(self, index: int) -> float:
-        return self.windows.get(index, 0.0)
-
     def state_rows(self) -> List[List[Any]]:
         return [[i, self.windows[i]] for i in sorted(self.windows)]
 
@@ -121,19 +118,6 @@ class _GaugeTrack:
             mine[3] = max(mine[3], float(cell[3]))
             mine[4] = float(cell[4])  # later shard wins the last-set value
 
-    def summary_value(self, index: int) -> Optional[Dict[str, float]]:
-        cell = self.windows.get(index)
-        if cell is None:
-            return None
-        count, total, lo, hi, last = cell
-        return {
-            "count": int(count),
-            "mean": total / count,
-            "min": lo,
-            "max": hi,
-            "last": last,
-        }
-
     def state_rows(self) -> List[List[Any]]:
         return [[i, list(self.windows[i])] for i in sorted(self.windows)]
 
@@ -178,15 +162,6 @@ class _HistogramTrack:
         else:
             mine.merge(other)
 
-    def summary_value(self, index: int) -> Optional[Dict[str, float]]:
-        hist = self.windows.get(index)
-        if hist is None or hist.count == 0:
-            return None
-        out = {"count": hist.count, "sum": hist.total}
-        for q in DEFAULT_WINDOW_QUANTILES:
-            out[f"p{q:g}"] = hist.quantile(q)
-        return out
-
     def state_rows(self) -> List[List[Any]]:
         return [[i, self.windows[i].to_state()] for i in sorted(self.windows)]
 
@@ -225,10 +200,6 @@ class _StateTrack:
             return
         for state, count in cell.items():
             self.mark(index, state, int(count))
-
-    def summary_value(self, index: int) -> Optional[Dict[str, int]]:
-        cell = self.windows.get(index)
-        return dict(cell) if cell else None
 
     def state_rows(self) -> List[List[Any]]:
         return [
@@ -464,23 +435,7 @@ class TimeSeries:
 
     def summary(self) -> "TimeSeriesSummary":
         """Collapse to the plain-data per-window view (see module doc)."""
-        rows: Dict[int, Dict[str, Any]] = {}
-        for index in self.window_indices():
-            row: Dict[str, Any] = {}
-            for name in sorted(self._tracks):
-                value = self._tracks[name].summary_value(index)
-                if value is not None and value != 0.0 or (
-                    isinstance(value, (int, float)) and value
-                ):
-                    row[name] = value
-            rows[index] = row
-        return TimeSeriesSummary(
-            window_s=self.window_s,
-            origin_s=self.origin_s,
-            rows=rows,
-            track_kinds={n: t.kind for n, t in self._tracks.items()},
-            evicted_windows=self.evicted_windows,
-        )
+        return TimeSeriesSummary.from_compact_state(self.compact_state())
 
     # -- merging -------------------------------------------------------------
 
@@ -654,9 +609,7 @@ class TimeSeriesSummary:
             else:
                 raise ValueError(f"unknown track type {kind!r} for {name!r}")
         if rows:
-            lo, hi = min(rows), max(rows)
-            for index in range(lo, hi + 1):
-                rows.setdefault(index, {})
+            rows = {i: rows.get(i, {}) for i in range(min(rows), max(rows) + 1)}
         return cls(
             window_s=float(state["window_s"]),
             origin_s=float(state.get("origin_s", 0.0)),

@@ -6,7 +6,7 @@ Two invariants the static-analysis subsystem promises:
    sizes (the symbolic-batch rules scale, they are not pinned to the
    batch the graph was built at), raw and optimized;
 2. the verifier's *inferred* output specs equal the shapes the executor
-   actually produces — under both lazy and eager parameter modes.
+   actually produces.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.analysis import (
 from repro.graph import execute, optimize
 from repro.graph.tensor import TensorSpec
 from repro.models import MODEL_ORDER, build_model
-from repro.ops.lazy import eager_params
 from repro.workloads import QueryGenerator
 
 BATCHES = (1, 64, 16384)
@@ -52,19 +51,6 @@ def test_inferred_specs_match_executor_lazy(name):
     outputs = execute(graph, feeds)
     inferred = inferred_output_specs(graph)
     assert set(inferred) == set(outputs)
-    for out, spec in inferred.items():
-        assert TensorSpec.like(outputs[out]) == spec, out
-
-
-@pytest.mark.parametrize("name", MODEL_ORDER)
-def test_inferred_specs_match_executor_eager(name):
-    with eager_params():
-        model = build_model(name)
-        batch = 4
-        graph = model.build_graph(batch)
-        feeds = QueryGenerator(model, seed=7).generate(batch)
-        outputs = execute(graph, feeds)
-    inferred = inferred_output_specs(graph)
     for out, spec in inferred.items():
         assert TensorSpec.like(outputs[out]) == spec, out
 

@@ -10,8 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.hw import BROADWELL, CASCADE_LAKE
-from repro.ops.workload import MemoryStream, RANDOM, SEQUENTIAL
-from repro.uarch import AnalyticalHierarchy, CacheHierarchy, SetAssociativeCache
+from repro.ops.workload import MemoryStream, OpWorkload, RANDOM, SEQUENTIAL
+from repro.uarch import (
+    AnalyticalHierarchy,
+    CacheHierarchy,
+    CpuModel,
+    SetAssociativeCache,
+)
 
 
 class TestSetAssociativeCache:
@@ -193,6 +198,43 @@ class TestAnalyticalHierarchy:
         assert levels.l1 >= 0 and levels.l2 >= 0
         assert levels.l3 >= 0 and levels.dram >= 0
         assert levels.total == pytest.approx(1000, rel=1e-6)
+
+
+class TestClassifyMatchesEvaluator:
+    """``classify`` is the scalar reference for the evaluator's per-stream
+    level split: a one-stream op profiled by ``CpuModel`` must report
+    exactly the accesses ``classify`` assigns to each level."""
+
+    #: Footprints resident in L1, L2, L3 and DRAM on both CPUs.
+    FOOTPRINTS = {
+        "l1": 16 * 1024,
+        "l2": 128 * 1024,
+        "l3": 8 * 1024 * 1024,
+        "dram": 1024**3,
+    }
+
+    @pytest.mark.parametrize("spec", [BROADWELL, CASCADE_LAKE], ids=["bdw", "clx"])
+    @pytest.mark.parametrize("pattern", [RANDOM, SEQUENTIAL])
+    @pytest.mark.parametrize("level", sorted(FOOTPRINTS))
+    def test_level_split_equals_classify(self, spec, pattern, level):
+        reference = AnalyticalHierarchy(spec)
+        model = CpuModel(spec)
+        for locality in (0.0, 0.2, 0.6):
+            for accesses in (1000, 4097):
+                stream = MemoryStream(
+                    self.FOOTPRINTS[level], accesses, 64, pattern,
+                    locality=locality,
+                )
+                workload = OpWorkload("SparseLengthsSum", flops=100,
+                                      streams=(stream,))
+                events = model.profile_workloads(
+                    "g", ["n"], [workload.op_kind], [workload]
+                ).op_profiles[0].events
+                levels = reference.classify(stream)
+                assert (
+                    events.l1d_accesses, events.l2_accesses,
+                    events.l3_accesses, events.dram_accesses,
+                ) == (levels.l1, levels.l2, levels.l3, levels.dram)
 
 
 class TestTraceCrossValidation:

@@ -8,8 +8,8 @@ salted ``hash()``:
   pinned values (they must survive interpreter restarts and any
   ``PYTHONHASHSEED``);
 * ``profile()`` materializes zero parameter arrays;
-* lazy ``run()`` is bit-identical to eager construction for every zoo
-  model;
+* ``run()`` is bit-identical whatever order parameters materialize in,
+  for every zoo model;
 * sweeps run in one process and refuse ``workers > 1``.
 """
 
@@ -17,19 +17,18 @@ import numpy as np
 import pytest
 
 from repro.core import SpeedupStudy
+from repro.graph import execute
 from repro.models import MODEL_FACTORIES, MODEL_ORDER, build_model
 from repro.models.ncf import NCF
 from repro.ops import (
     FC,
     LazyParam,
-    eager_params,
     materialization_count,
     reset_materialization_count,
 )
 from repro.ops.initializers import rng_for, seed_for
 from repro.runtime import (
     InferenceSession,
-    bypass_graph_cache,
     clear_graph_cache,
     graph_cache_stats,
 )
@@ -118,10 +117,18 @@ class TestLazyParams:
 
     @pytest.mark.parametrize("name", MODEL_ORDER)
     def test_lazy_run_matches_eager(self, name):
+        """Materialization order never changes a value: one model has
+        every parameter materialized up front, last operator first; the
+        other materializes lazily inside ``run``."""
         feeds = QueryGenerator(build_model(name), seed=7).generate(4)
+        graph = build_model(name).build_graph(4)
+        for node in reversed(graph.nodes):
+            node.op.parameters()
+        eager_out = execute(graph, feeds)
+        clear_graph_cache()
+        before = materialization_count()
         lazy_out = InferenceSession(build_model(name), "broadwell").run(feeds)
-        with eager_params(), bypass_graph_cache():
-            eager_out = InferenceSession(build_model(name), "broadwell").run(feeds)
+        assert materialization_count() > before
         assert lazy_out.keys() == eager_out.keys()
         for key in lazy_out:
             np.testing.assert_array_equal(lazy_out[key], eager_out[key])
@@ -149,14 +156,6 @@ class TestGraphCache:
         default = InferenceSession(NCF(), "broadwell").graph(8)
         narrow = InferenceSession(NCF(mf_dim=32), "broadwell").graph(8)
         assert default is not narrow
-
-    def test_bypass_builds_fresh(self):
-        model = build_model("wnd")
-        session = InferenceSession(model, "broadwell")
-        cached = session.graph(4)
-        with bypass_graph_cache():
-            assert session.graph(4) is not cached
-        assert session.graph(4) is cached
 
 
 class TestSweep:

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import SpeedupStudy
 from repro.models import build_model
-from repro.runtime import BatchingPolicy, QueryScheduler, ScheduleResult, ServiceTimeModel
+from repro.runtime import (
+    BatchingPolicy,
+    InferenceSession,
+    QueryScheduler,
+    ScheduleResult,
+    ServiceTimeModel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +35,55 @@ class TestServiceTimeModel:
         times = [stm.seconds(b) for b in (1, 3, 16, 40, 256, 1000, 4096)]
         assert times == sorted(times)
 
-    def test_clamps_beyond_grid(self, sweep):
-        """Outside the profiled knots the model clamps, never extrapolates."""
+    def test_extrapolates_beyond_top_knot(self, sweep):
+        """Past the top knot each query adds the last segment's marginal
+        cost; below the first knot the model is flat."""
         stm = ServiceTimeModel(sweep, "rm2", "broadwell")
-        assert stm.seconds(8192) == stm.seconds(4096)
-        assert stm.seconds(10 ** 9) == stm.seconds(4096)
-        assert stm.seconds(1) == stm.seconds(1)  # smallest knot is exact
+        top = sweep.total_seconds("rm2", "broadwell", 4096)
+        marginal = (top - sweep.total_seconds("rm2", "broadwell", 256)) / (
+            4096 - 256
+        )
+        assert stm.seconds(8192) == pytest.approx(top + 4096 * marginal)
+        assert stm.seconds(4096) < stm.seconds(8192) < stm.seconds(10 ** 9)
+        below = ServiceTimeModel.__new__(ServiceTimeModel)
+        below._set_knots([4, 16], [1.0, 2.0])
+        assert below.seconds(1) == below.seconds(4) == 1.0
+
+    def test_calibrated_model_throughput_stays_bounded(self):
+        """rm1 on the T4 calibrated at 128 (knots 1/32/128/256): past 256
+        latency keeps rising, and throughput stays under one query per
+        marginal second (~277k QPS)."""
+        stm = ServiceTimeModel.calibrate(
+            InferenceSession(build_model("rm1"), "t4"), 128
+        )
+        assert stm._batches == [1, 32, 128, 256]
+        assert stm.seconds(256) < stm.seconds(512) < stm.seconds(4096)
+        assert stm.comm_seconds(256) < stm.comm_seconds(512)
+        marginal = (stm.seconds(256) - stm.seconds(128)) / 128
+        for batch in (256, 512, 4096, 10 ** 6):
+            assert batch / stm.seconds(batch) < 1 / marginal
+
+    def test_one_knot_model_is_flat(self):
+        stm = ServiceTimeModel.__new__(ServiceTimeModel)
+        stm._set_knots([8], [0.5], [0.1])
+        assert stm.seconds(1) == stm.seconds(8) == stm.seconds(10 ** 6) == 0.5
+        assert stm.comm_seconds(10 ** 6) == 0.1
+
+    @given(
+        st.lists(st.integers(1, 1 << 16), min_size=1, max_size=6, unique=True),
+        st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        st.lists(st.integers(1, 1 << 20), min_size=2, max_size=8),
+    )
+    def test_seconds_non_decreasing_for_increasing_knots(
+        self, batches, steps, probes
+    ):
+        batches = sorted(batches)
+        times = list(np.cumsum(steps[: len(batches)]))
+        stm = ServiceTimeModel.__new__(ServiceTimeModel)
+        stm._set_knots(batches, times)
+        probes = sorted(probes)
+        seconds = [stm.seconds(b) for b in probes]
+        assert all(a <= b * (1 + 1e-12) for a, b in zip(seconds, seconds[1:]))
 
     def test_invalid_batch(self, sweep):
         stm = ServiceTimeModel(sweep, "rm2", "t4")
@@ -47,7 +98,7 @@ class TestServiceTimeModel:
                 sweep.profile("rm2", "t4", batch).data_comm_seconds
             )
         assert 0.0 < stm.comm_seconds(64) < stm.seconds(64)
-        assert stm.comm_seconds(8192) == stm.comm_seconds(4096)
+        assert stm.comm_seconds(8192) > stm.comm_seconds(4096)
 
     def test_rejects_bad_knots(self, sweep):
         stm = ServiceTimeModel(sweep, "rm2", "t4")

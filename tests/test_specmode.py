@@ -95,33 +95,37 @@ class TestSpecCaches:
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
 
-    def test_repeat_sweep_returns_memoized_profiles(self):
+    def test_repeat_sweep_hits_table_cache(self):
         specmode.clear_spec_caches()
         models = {n: build_model(n) for n in ("ncf", "rm1")}
         first = specmode.profile_spec_sweep(models, ["broadwell"], [1, 64])
-        # Fresh-but-equivalent model objects hit the table cache, which
-        # keys the sweep memo: identical profile objects come back.
+        assert specmode.spec_cache_stats()["misses"] == 4
+        # Fresh-but-equivalent model objects hit every table; the
+        # re-evaluation gives equal profiles.
         rebuilt = {n: build_model(n) for n in ("ncf", "rm1")}
         second = specmode.profile_spec_sweep(rebuilt, ["broadwell"], [1, 64])
+        stats = specmode.spec_cache_stats()
+        assert (stats["misses"], stats["hits"]) == (4, 4)
         assert list(first) == list(second)
-        for key in first:
-            assert first[key] is second[key]
-        assert specmode.spec_cache_stats()["sweep_entries"] == 1
+        for key, profile in first.items():
+            assert second[key].compute_seconds == profile.compute_seconds
+            assert second[key].data_comm_seconds == profile.data_comm_seconds
+            assert second[key].op_time_by_kind == profile.op_time_by_kind
+            assert second[key].events.as_dict() == profile.events.as_dict()
 
     def test_new_platform_extends_existing_entry(self):
         specmode.clear_spec_caches()
         models = {"ncf": build_model("ncf")}
         specmode.profile_spec_sweep(models, ["broadwell"], [1])
         specmode.profile_spec_sweep(models, ["broadwell", "t4"], [1])
-        assert specmode.spec_cache_stats()["sweep_entries"] == 1
+        stats = specmode.spec_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
 
     def test_clear_resets(self):
         models = {"ncf": build_model("ncf")}
         specmode.profile_spec_sweep(models, ["broadwell"], [1])
         specmode.clear_spec_caches()
-        stats = specmode.spec_cache_stats()
-        assert stats["size"] == 0
-        assert stats["sweep_entries"] == 0
+        assert specmode.spec_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
 
 class TestBufferPlan:

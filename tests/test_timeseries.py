@@ -181,6 +181,20 @@ class TestSerialization:
                 for key in ("count", "sum", "p50", "p95", "p99"):
                     assert lat_back[key] == pytest.approx(lat_live[key])
 
+    def test_summary_rows_are_contiguous_and_ascending(self):
+        """Windows between recorded ones get an empty row; a zero-valued
+        counter or a zero-count window contributes no value."""
+        ts = TimeSeries(window_s=0.5)
+        ts.count("c", 0.1)
+        ts.count("c", 1.2, 0.0)
+        ts.observe("h", 2.7, 0.0)
+        ts.count("c", 3.3)
+        summary = ts.summary()
+        assert list(summary.rows) == [0, 1, 2, 3, 4, 5, 6]
+        assert summary.rows[2] == {}
+        assert summary.rows[5]["h"]["count"] == 1
+        assert summary.counter("c", 6) == 1.0
+
     def test_compact_state_is_byte_stable(self):
         a = json.dumps(_filled_series().compact_state(), sort_keys=True)
         b = json.dumps(_filled_series().compact_state(), sort_keys=True)
