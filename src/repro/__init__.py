@@ -14,33 +14,35 @@ Quick start::
     print("\\n".join(report.summary_lines()))
 """
 
-from repro.core import (
-    CrossStackReport,
-    MicroarchReport,
-    OperatorBreakdown,
-    SpeedupStudy,
-    SweepResult,
-    breakdown_for,
-    characterize,
-    collect_report,
-    collect_suite,
-    framework_comparison,
-    run_fig16_study,
-)
-from repro.graph import Graph, GraphBuilder, TensorSpec, execute
-from repro.hw import (
-    BROADWELL,
-    CASCADE_LAKE,
-    GTX_1080_TI,
-    PLATFORMS,
-    T4,
-    platform_by_name,
-)
-from repro.models import MODEL_ORDER, build_all_models, build_model
-from repro.runtime import InferenceProfile, InferenceSession
-from repro.uarch import CpuModel, PmuEvents, TopDownBreakdown, topdown_from_events
-from repro.gpusim import GpuModel
-from repro.workloads import QueryGenerator, paper_batch_sizes
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.crossstack": ("CrossStackReport", "characterize"),
+    "repro.core.operator_breakdown": (
+        "OperatorBreakdown", "breakdown_for", "framework_comparison",
+    ),
+    "repro.core.regression": ("run_fig16_study",),
+    "repro.core.speedup": ("SpeedupStudy", "SweepResult"),
+    "repro.core.topdown_analysis": (
+        "MicroarchReport", "collect_report", "collect_suite",
+    ),
+    "repro.graph.builder": ("GraphBuilder",),
+    "repro.graph.executor": ("execute",),
+    "repro.graph.graph": ("Graph",),
+    "repro.graph.tensor": ("TensorSpec",),
+    "repro.hw.platform": (
+        "BROADWELL", "CASCADE_LAKE", "GTX_1080_TI", "PLATFORMS", "T4",
+        "platform_by_name",
+    ),
+    "repro.models.names": ("MODEL_ORDER",),
+    "repro.models.zoo": ("build_all_models", "build_model"),
+    "repro.runtime.session": ("InferenceProfile", "InferenceSession"),
+    "repro.uarch.events": ("PmuEvents",),
+    "repro.uarch.pipeline": ("CpuModel",),
+    "repro.uarch.topdown": ("TopDownBreakdown", "topdown_from_events"),
+    "repro.gpusim.device": ("GpuModel",),
+    "repro.workloads.generator": ("QueryGenerator", "paper_batch_sizes"),
+})
 
 __version__ = "1.0.0"
 

@@ -20,30 +20,23 @@ and :mod:`repro.analysis.fuzz`. Those modules import :mod:`hypothesis`
 access them as submodules.
 """
 
-from repro.analysis.diagnostics import (
-    ERROR,
-    NOTE,
-    WARNING,
-    Diagnostic,
-    DiagnosticReport,
-)
-from repro.analysis.linter import LINT_RULES, LintRule, lint_paths, lint_source
-from repro.analysis.shape_rules import (
-    BATCH,
-    SHAPE_RULES,
-    RuleError,
-    SymDim,
-    SymSpec,
-    shape_rule,
-)
-from repro.analysis.verifier import (
-    GraphVerifyError,
-    assert_equivalent,
-    assert_verified,
-    check_equivalence,
-    inferred_output_specs,
-    verify_graph,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.diagnostics": (
+        "ERROR", "NOTE", "WARNING", "Diagnostic", "DiagnosticReport",
+    ),
+    "repro.analysis.linter": (
+        "LINT_RULES", "LintRule", "lint_paths", "lint_source",
+    ),
+    "repro.analysis.shape_rules": (
+        "BATCH", "SHAPE_RULES", "RuleError", "SymDim", "SymSpec", "shape_rule",
+    ),
+    "repro.analysis.verifier": (
+        "GraphVerifyError", "assert_equivalent", "assert_verified",
+        "check_equivalence", "inferred_output_specs", "verify_graph",
+    ),
+})
 
 __all__ = [
     # diagnostics

@@ -625,6 +625,232 @@ def _check_timeseries(example: Mapping[str, Any]) -> None:
     )
 
 
+# -- 8. ServiceTimeModel extrapolation past the top knot -------------------
+
+
+def _service_time_examples() -> st.SearchStrategy:
+    # An amortizing service curve: a fixed cost plus a per-query cost
+    # growing at most linearly, so per-query time never rises with
+    # batch; communication is linear in batch.
+    return st.fixed_dictionaries({
+        "batches": st.lists(
+            st.integers(1, 1 << 14), min_size=2, max_size=6, unique=True
+        ),
+        "overhead_s": st.floats(0.0, 1e-2),
+        "per_query_s": st.floats(1e-7, 1e-3),
+        "exponent": st.floats(0.5, 1.0),
+        "comm_per_query_s": st.floats(0.0, 1e-4),
+        "probes": st.lists(st.integers(1, 1 << 24), min_size=1, max_size=12),
+    })
+
+
+def _check_service_time(example: Mapping[str, Any]) -> None:
+    from repro.runtime.scheduler import ServiceTimeModel
+    from repro.runtime.session import InferenceProfile
+
+    batches = sorted(example["batches"])
+    stm = ServiceTimeModel.from_profiles([
+        InferenceProfile(
+            model_name="fuzz", platform_name="sim", platform_kind="cpu",
+            batch_size=b,
+            compute_seconds=example["overhead_s"]
+            + example["per_query_s"] * b ** example["exponent"],
+            data_comm_seconds=example["comm_per_query_s"] * b,
+            op_time_by_kind={},
+        )
+        for b in batches
+    ])
+    top, prev = batches[-1], batches[-2]
+    probes = sorted(set(example["probes"]) | {top, 2 * top})
+    for name, curve in (("seconds", stm.seconds),
+                        ("comm_seconds", stm.comm_seconds)):
+        values = [curve(b) for b in probes]
+        for i in range(1, len(probes)):
+            _require(
+                values[i - 1] <= values[i] * (1 + 1e-12),
+                f"{name} fell from {values[i - 1]!r} at batch "
+                f"{probes[i - 1]} to {values[i]!r} at batch {probes[i]} "
+                f"(knots {batches})",
+            )
+    marginal = (stm.seconds(top) - stm.seconds(prev)) / (top - prev)
+    if marginal <= 0.0:
+        return
+    for b in probes:
+        if b > top:
+            _require(
+                b / stm.seconds(b) <= (1 + 1e-9) / marginal,
+                f"throughput {b / stm.seconds(b)!r} QPS at batch {b} "
+                f"exceeds 1/marginal = {1 / marginal!r} above the top knot "
+                f"{top} (knots {batches})",
+            )
+
+
+# -- 9. CLI argv: exit 0, 1 or 2, never a traceback -------------------------
+
+#: Stands for the per-check scratch directory in drawn argv, so examples
+#: stay JSON and their digest does not depend on the temp path.
+_TMP = "{tmp}"
+_PATHS = (
+    f"{_TMP}/missing", f"{_TMP}/empty", f"{_TMP}/ledger", f"{_TMP}/out.json",
+)
+_COUNTS = ("0", "-3", "x", "1", "16", "64")
+
+#: Values drawn per option dest: a few valid ones kept small (cheap
+#: models, <= 200 queries), bad counts, unknown names and missing paths.
+#: Dests not listed draw from their argparse ``choices`` plus "bogus".
+_ARGV_VALUES: Dict[str, Tuple[str, ...]] = {
+    "model": ("ncf", "rm1", "bert"),
+    "models": ("ncf", "din", "bert"),
+    "platform": ("broadwell", "t4", "tpu"),
+    "platforms": ("broadwell", "t4", "tpu"),
+    "fallback": ("none", "broadwell", "tpu"),
+    "batch": _COUNTS,
+    "batch_size": _COUNTS,
+    "batches": _COUNTS,
+    "queries": ("0", "-3", "x", "1", "50", "200"),
+    "max_queries": ("0", "-1", "5"),
+    "top_queries": ("0", "-1", "5"),
+    "shards": ("0", "1", "2", "4"),
+    "replicas": ("0", "1", "2"),
+    "hot_k": ("-1", "0", "64"),
+    "seed": ("0", "7", "-1"),
+    "qps": ("-5", "0", "nan", "200", "2000"),
+    "alpha": ("-1", "0", "1.1"),
+    "deadline_ms": ("-1", "0", "5"),
+    "sample_rate": ("-0.5", "0.1", "2"),
+    "slowdown_multiplier": ("0", "3", "nan"),
+    "tail_threshold_ms": ("-1", "1"),
+    "tolerance": ("-1", "0.05", "inf"),
+    "window_ms": ("-1", "0", "5"),
+    "what_if": ("all", "queue_wait", "fault_windows", "bogus"),
+    "select": ("REP001", "REP999"),
+    # Fuzzing inside the fuzz would recurse: only unknown contracts and
+    # budgets that are no budget.
+    "contract": ("nope",),
+    "budget": ("-1", "0"),
+    "paths": (f"{_TMP}/mod.py", f"{_TMP}/missing"),
+    "rules": (f"{_TMP}/rules.toml", f"{_TMP}/missing"),
+    **{dest: _PATHS for dest in (
+        "against", "baseline", "candidate", "corpus_dir", "metrics_output",
+        "out", "output", "record_dir", "records", "report", "trace",
+    )},
+}
+
+#: Options always drawn, so no valid run writes outside the scratch
+#: directory, fuzzes, or falls back to a large default.
+_ARGV_ALWAYS: Dict[str, Tuple[str, ...]] = {
+    "explain": ("queries",),
+    "fuzz": ("contract",),
+    "lint": ("paths",),
+    "metrics": ("queries",),
+    "monitor": ("queries",),
+    "optimal": ("batches",),
+    "record": ("out", "models", "queries"),
+    "resilience": ("queries",),
+    "shard": ("queries",),
+    "sweep": ("models",),
+    "trace": ("output", "queries"),
+    "verify": ("models",),
+}
+
+_ARGV_RULES = """[[rule]]
+name = "tail latency budget"
+metric = "p99_latency_s"
+max = 0.05
+severity = "fail"
+"""
+
+
+def _argv_values(action) -> st.SearchStrategy:
+    """The argv words one argparse action contributes."""
+    if action.nargs == 0:
+        return st.just([])
+    pool = _ARGV_VALUES.get(action.dest)
+    if pool is None:
+        pool = tuple(action.choices or ()) + ("bogus",)
+    one = st.sampled_from(pool)
+    if action.nargs in ("*", "+"):
+        words = st.lists(one, min_size=1, max_size=3)
+    elif action.nargs == "?":
+        words = st.lists(one, max_size=1)
+    else:
+        words = one.map(lambda v: [v])
+    if action.option_strings:
+        flag = action.option_strings[-1]
+        return words.map(lambda ws: [flag, *ws])
+    return words
+
+
+def _argv_examples() -> st.SearchStrategy:
+    import argparse
+
+    from repro.cli import build_parser
+
+    (table,) = [
+        a.choices for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+
+    def for_command(name: str) -> st.SearchStrategy:
+        if name not in table:
+            return st.just([name])
+        actions = [a for a in table[name]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        always = _ARGV_ALWAYS.get(name, ())
+        fixed = [_argv_values(a) for a in actions
+                 if not a.option_strings or a.required or a.dest in always]
+        optional = [a for a in actions if a.option_strings]
+        extra = st.lists(
+            st.sampled_from(optional).flatmap(_argv_values), max_size=3
+        ) if optional else st.just([])
+        unknown = st.sampled_from(([], [], [], ["--bogus"]))
+        return st.tuples(st.tuples(*fixed), extra, unknown).map(
+            lambda parts: [name] + [
+                w for p in (*parts[0], *parts[1], parts[2]) for w in p
+            ]
+        )
+
+    names = sorted(table) + ["bogus"]
+    return st.sampled_from(names).flatmap(for_command).map(
+        lambda argv: {"argv": argv}
+    )
+
+
+def _check_cli_argv(example: Mapping[str, Any]) -> None:
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    from repro.cli import main
+
+    shown = " ".join(example["argv"])
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "empty").mkdir()
+        (Path(tmp) / "mod.py").write_text("VALUE = 1\n", encoding="utf-8")
+        (Path(tmp) / "rules.toml").write_text(_ARGV_RULES, encoding="utf-8")
+        if any(f"{_TMP}/ledger" in word for word in example["argv"]):
+            from repro.ledger import RunLedger, record_profile
+
+            RunLedger(Path(tmp) / "ledger").write(
+                record_profile("ncf", "broadwell", 1)
+            )
+        argv = [word.replace(_TMP, tmp) for word in example["argv"]]
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                code = main(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception as exc:
+            raise ContractViolation(
+                f"repro {shown} ended in a traceback: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+    _require(code in (0, 1, 2), f"repro {shown} exited {code!r}")
+
+
 # -- registry --------------------------------------------------------------
 
 CONTRACTS: Tuple[Contract, ...] = (
@@ -677,6 +903,20 @@ CONTRACTS: Tuple[Contract, ...] = (
         "shard-merged TimeSeries state is byte-identical to the "
         "single-series state on exactly-representable inputs",
         _timeseries_examples, _check_timeseries, cost=0.01,
+    ),
+    Contract(
+        "service_time_extrapolation",
+        "ServiceTimeModel seconds and comm_seconds never fall as the batch "
+        "grows, past the top knot too, and throughput above the top knot "
+        "stays <= 1/marginal cost, on random knots of an amortizing "
+        "service curve",
+        _service_time_examples, _check_service_time, cost=0.005,
+    ),
+    Contract(
+        "cli_argv",
+        "repro.cli.main exits 0, 1 or 2 and never ends in a traceback on "
+        "argv drawn from the parser's own subcommand and option table",
+        _argv_examples, _check_cli_argv, cost=0.1,
     ),
 )
 

@@ -149,6 +149,24 @@ def examples_for_budget(
     }
 
 
+def _import_package() -> None:
+    """Import every ``repro`` module before drawing examples.
+
+    Hypothesis mixes literal constants from the local modules in
+    ``sys.modules`` into its draws, and the package imports its layers
+    lazily. With all of them imported, a contract's example stream does
+    not depend on which contracts or commands ran before it.
+    """
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":  # it runs the CLI on import
+            importlib.import_module(info.name)
+
+
 def run_contract(
     contract: Contract,
     seed: int,
@@ -161,6 +179,7 @@ def run_contract(
     falsifying example last — so the capture cell below ends up holding
     the *shrunk* example, which is what gets serialized.
     """
+    _import_package()
     stream = hashlib.blake2b(digest_size=16)
     examples_seen = [0]
     last_failure: Dict[str, Any] = {}

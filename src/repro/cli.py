@@ -40,6 +40,10 @@ Every serving command (``resilience``, ``monitor``, ``explain``,
 :class:`~repro.monitor.scenario.Scenario` → run → render. User errors
 exit 2 with one ``error:`` line: bad counts at argparse, the rest from
 :func:`main`.
+
+Module level imports only what :func:`build_parser` needs (names, no
+numpy); each ``_cmd_*`` handler imports the layers it runs, so a command
+loads only those (``docs/performance.md``, "Cold start").
 """
 
 from __future__ import annotations
@@ -47,39 +51,23 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro import telemetry
-from repro.core import (
-    SpeedupStudy,
-    breakdown_for,
-    characterize,
-    collect_suite,
-    render_grid,
-    render_table,
-)
+from repro.core.report import render_grid, render_table
 from repro.hw import PLATFORM_ORDER, PLATFORMS
-from repro.models import MODEL_ORDER, build_all_models, build_model
-from repro.monitor.scenario import (
-    SCENARIOS as _MONITOR_SCENARIOS,
-    replica_scenario_names as _replica_scenario_names,
-    shard_scenario_names as _shard_scenario_names,
+from repro.models.names import MODEL_ORDER
+from repro.monitor.names import (
+    REPLICA_SCENARIO_NAMES,
+    SCENARIO_NAMES,
+    SHARD_SCENARIO_NAMES,
 )
-from repro.runtime import (
-    BatchingPolicy,
-    InferenceSession,
-    QueryScheduler,
-    ScheduleResult,
-    ServiceTimeModel,
-)
+
+if TYPE_CHECKING:
+    from repro import telemetry
+    from repro.runtime import InferenceSession, ScheduleResult
 
 __all__ = ["main", "build_parser"]
 
-#: ``monitor`` accepts every scenario; ``resilience`` only the
-#: replica-level ones and ``shard`` only the shard-level ones.
-_SCENARIO_NAMES = tuple(_MONITOR_SCENARIOS)
-_REPLICA_SCENARIOS = _replica_scenario_names()
-_SHARD_SCENARIOS = _shard_scenario_names()
 _PAPER_BATCHES = [1, 16, 256, 4096, 16384]
 
 
@@ -161,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_serving_args(
         p, model="rm2", platform="t4", queries=800,
-        scenarios=_REPLICA_SCENARIOS, fallback="broadwell",
+        scenarios=REPLICA_SCENARIO_NAMES, fallback="broadwell",
         fallback_help="standby platform for failover/hedging ('none' "
         "disables)",
     )
@@ -180,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="windowed serving timeline with regime/tail/burn-rate alerts",
     )
     _add_serving_args(
-        p, model="rm1", platform="t4", queries=1200, scenarios=_SCENARIO_NAMES,
+        p, model="rm1", platform="t4", queries=1200, scenarios=SCENARIO_NAMES,
         window_help="telemetry window (default: horizon / 24 windows)",
     )
     p.add_argument("--rules", default=None,
@@ -205,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="critical-path latency attribution for one fault scenario",
     )
     _add_serving_args(
-        p, model="rm1", platform="t4", queries=1200, scenarios=_SCENARIO_NAMES,
+        p, model="rm1", platform="t4", queries=1200, scenarios=SCENARIO_NAMES,
         window_help="telemetry window (default: horizon / 24 windows); "
         "also the fault-overlap slack",
     )
@@ -248,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_serving_args(
         p, model="rm2", platform="broadwell", queries=1500,
-        scenarios=_SHARD_SCENARIOS, scenario="shard_slowdown",
+        scenarios=SHARD_SCENARIO_NAMES, scenario="shard_slowdown",
         with_fallback=False, platform_help="serving platform",
         qps_help="arrival rate (default: 80%% of the sharded peak — model "
         "compute plus the healthy blind gather)",
@@ -464,6 +452,8 @@ def _add_telemetry_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_models(args) -> str:
+    from repro.models import build_all_models
+
     rows = [
         [m.info.display_name, name, m.info.application_domain,
          m.total_embedding_tables(), f"{m.lookups_per_table():.0f}"]
@@ -484,6 +474,8 @@ def _cmd_platforms(args) -> str:
 
 
 def _cmd_characterize(args) -> str:
+    from repro.core import characterize
+
     report = characterize(args.model, args.platform, args.batch)
     lines = report.summary_lines()
     lines.append("operator breakdown:")
@@ -493,6 +485,9 @@ def _cmd_characterize(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
+    from repro.core import SpeedupStudy
+    from repro.models import build_model
+
     names = args.models if args.models else MODEL_ORDER
     models = {n: build_model(n) for n in names}
     sweep = SpeedupStudy(models=models, batch_sizes=args.batches).run()
@@ -516,6 +511,8 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_optimal(args) -> str:
+    from repro.core import SpeedupStudy
+
     sweep = SpeedupStudy(batch_sizes=args.batches).run()
     cells = {
         (cell.model, cell.batch_size): f"{cell.platform} {cell.speedup:.1f}x"
@@ -525,6 +522,8 @@ def _cmd_optimal(args) -> str:
 
 
 def _cmd_topdown(args) -> str:
+    from repro.core import collect_suite
+
     rows = []
     for cpu, reports in collect_suite(batch_size=args.batch).items():
         for model in MODEL_ORDER:
@@ -542,6 +541,10 @@ def _cmd_topdown(args) -> str:
 
 
 def _cmd_breakdown(args) -> str:
+    from repro.core import breakdown_for
+    from repro.models import build_model
+    from repro.runtime import InferenceSession
+
     session = InferenceSession(build_model(args.model), args.platform)
     breakdown = breakdown_for(session.profile(args.batch))
     rows = [[op, f"{share * 100:.1f}%"] for op, share in breakdown.top(10)]
@@ -564,6 +567,15 @@ def _traced_characterization(args) -> Tuple[
     taken with telemetry off so the exported trace carries exactly one
     modeled timeline — the requested batch size's.
     """
+    from repro import telemetry
+    from repro.models import build_model
+    from repro.runtime import (
+        BatchingPolicy,
+        InferenceSession,
+        QueryScheduler,
+        ServiceTimeModel,
+    )
+
     session = InferenceSession(build_model(args.model), args.platform)
     batch = args.batch_size
     service_model = None
@@ -591,6 +603,8 @@ def _traced_characterization(args) -> Tuple[
 
 def _span_lines(out: str, spans) -> List[str]:
     """The trace-path line plus the hottest spans table."""
+    from repro import telemetry
+
     lines = [
         f"trace:   {out}  ({len(spans)} spans; open in chrome://tracing "
         "or ui.perfetto.dev)",
@@ -655,6 +669,8 @@ def _cmd_trace_scheduler(args) -> str:
 
 
 def _cmd_trace(args) -> str:
+    from repro import telemetry
+
     if args.scheduler or args.resilience:
         return _cmd_trace_scheduler(args)
     session, result, tracer, registry = _traced_characterization(args)
@@ -691,6 +707,8 @@ def _cmd_trace(args) -> str:
 
 
 def _cmd_metrics(args) -> str:
+    from repro import telemetry
+
     _, _, _, registry = _traced_characterization(args)
     return telemetry.render_metrics(registry.snapshot(), args.format)
 
@@ -1201,6 +1219,7 @@ def _cmd_verify(args) -> Tuple[str, int]:
 
     from repro.analysis import verify_graph
     from repro.graph import optimize
+    from repro.models import build_model
 
     rows = []
     records = []

@@ -1,67 +1,56 @@
 """Cross-stack characterization (the paper's contribution)."""
 
-from repro.core.characterize import CrossStackReport, characterize
-from repro.core.claims import (
-    Claim,
-    ClaimContext,
-    ClaimResult,
-    PAPER_CLAIMS,
-    evaluate_claims,
-)
-from repro.core.classification import (
-    BottleneckShift,
-    ModelClass,
-    classify_breakdown,
-    classify_profile,
-    find_bottleneck_shifts,
-    reference_classification,
-)
-from repro.core.energy import EnergyEstimate, efficiency_grid, energy_per_inference
-from repro.core.export import (
-    records_to_json,
-    suite_to_records,
-    sweep_to_csv,
-    sweep_to_records,
-)
-from repro.core.roofline import RooflinePoint, graph_workload, roofline_point
-from repro.core.scaling import (
-    ScalingFit,
-    crossover_batch,
-    crossover_table,
-    fit_scaling,
-)
-from repro.core.sla import (
-    SlaBudget,
-    SlaOperatingPoint,
-    max_batch_under_sla,
-    sla_frontier,
-)
-from repro.core.features import FEATURE_NAMES, FeatureMatrix, build_feature_matrix
-from repro.core.operator_breakdown import (
-    OperatorBreakdown,
-    breakdown_for,
-    framework_comparison,
-)
-from repro.core.regression import (
-    BOTTLENECK_TARGETS,
-    RegressionResult,
-    fit_bottleneck_regression,
-    fit_linear,
-    run_fig16_study,
-)
-from repro.core.report import format_seconds, render_grid, render_table, to_csv
-from repro.core.speedup import (
-    BASELINE_PLATFORM,
-    OptimalCell,
-    SpeedupStudy,
-    SweepResult,
-)
-from repro.core.topdown_analysis import (
-    TOPDOWN_BATCH_SIZE,
-    MicroarchReport,
-    collect_report,
-    collect_suite,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.claims": (
+        "Claim", "ClaimContext", "ClaimResult", "PAPER_CLAIMS",
+        "evaluate_claims",
+    ),
+    "repro.core.classification": (
+        "BottleneckShift", "ModelClass", "classify_breakdown",
+        "classify_profile", "find_bottleneck_shifts",
+        "reference_classification",
+    ),
+    "repro.core.crossstack": ("CrossStackReport", "characterize"),
+    "repro.core.energy": (
+        "EnergyEstimate", "efficiency_grid", "energy_per_inference",
+    ),
+    "repro.core.export": (
+        "records_to_json", "suite_to_records", "sweep_to_csv",
+        "sweep_to_records",
+    ),
+    "repro.core.features": (
+        "FEATURE_NAMES", "FeatureMatrix", "build_feature_matrix",
+    ),
+    "repro.core.operator_breakdown": (
+        "OperatorBreakdown", "breakdown_for", "framework_comparison",
+    ),
+    "repro.core.regression": (
+        "BOTTLENECK_TARGETS", "RegressionResult", "fit_bottleneck_regression",
+        "fit_linear", "run_fig16_study",
+    ),
+    "repro.core.report": (
+        "format_seconds", "render_grid", "render_table", "to_csv",
+    ),
+    "repro.core.roofline": (
+        "RooflinePoint", "graph_workload", "roofline_point",
+    ),
+    "repro.core.scaling": (
+        "ScalingFit", "crossover_batch", "crossover_table", "fit_scaling",
+    ),
+    "repro.core.sla": (
+        "SlaBudget", "SlaOperatingPoint", "max_batch_under_sla",
+        "sla_frontier",
+    ),
+    "repro.core.speedup": (
+        "BASELINE_PLATFORM", "OptimalCell", "SpeedupStudy", "SweepResult",
+    ),
+    "repro.core.topdown_analysis": (
+        "TOPDOWN_BATCH_SIZE", "MicroarchReport", "collect_report",
+        "collect_suite",
+    ),
+})
 
 __all__ = [
     "characterize",

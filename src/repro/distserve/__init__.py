@@ -29,33 +29,24 @@ non-distributed path (golden-pinned).
 See ``docs/sharding.md`` for the full model and scenario walkthrough.
 """
 
-from repro.distserve.gather import (
-    GatherHedgePolicy,
-    GatherOutcome,
-    GatherPolicy,
-    PartialGatherPolicy,
-    ReplicatedReadPolicy,
-    ShardGatherModel,
-)
-from repro.distserve.placement import (
-    SHARDING_KINDS,
-    GatherPart,
-    LocalityAwarePlacement,
-    RoundRobinPlacement,
-    ShardInfo,
-    ShardLayout,
-    build_layout,
-)
-from repro.distserve.scenario import (
-    ShardCaseResult,
-    ShardMatrix,
-    default_shard_scenarios,
-    matrix_records,
-    run_shard_matrix,
-    split_shard_kwargs,
-    synthesize_shard_plan,
-)
-from repro.distserve.topology import NetworkModel, ShardHardware
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.distserve.gather": (
+        "GatherHedgePolicy", "GatherOutcome", "GatherPolicy",
+        "PartialGatherPolicy", "ReplicatedReadPolicy", "ShardGatherModel",
+    ),
+    "repro.distserve.placement": (
+        "SHARDING_KINDS", "GatherPart", "LocalityAwarePlacement",
+        "RoundRobinPlacement", "ShardInfo", "ShardLayout", "build_layout",
+    ),
+    "repro.distserve.scenario": (
+        "ShardCaseResult", "ShardMatrix", "default_shard_scenarios",
+        "matrix_records", "run_shard_matrix", "split_shard_kwargs",
+        "synthesize_shard_plan",
+    ),
+    "repro.distserve.topology": ("NetworkModel", "ShardHardware"),
+})
 
 __all__ = [
     # topology

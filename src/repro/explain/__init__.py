@@ -9,8 +9,12 @@ verdicts (is the excursion explained by the injected fault). See
 docs/observability.md ("Critical path & explain").
 """
 
-from repro.explain.engine import Explanation, explain_scenario
-from repro.explain.report import render_html, render_markdown, render_text
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.explain.engine": ("Explanation", "explain_scenario"),
+    "repro.explain.report": ("render_html", "render_markdown", "render_text"),
+})
 
 __all__ = [
     "Explanation",

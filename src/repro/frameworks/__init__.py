@@ -1,8 +1,14 @@
 """Framework operator vocabularies (Caffe2 vs TensorFlow, Figs 6-7)."""
 
-from repro.frameworks.caffe2 import CAFFE2
-from repro.frameworks.lowering import FrameworkLowering, lower_time_by_kind
-from repro.frameworks.tensorflow_like import CAFFE2_TO_TF_EQUIVALENTS, TENSORFLOW
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.frameworks.caffe2": ("CAFFE2",),
+    "repro.frameworks.lowering": ("FrameworkLowering", "lower_time_by_kind"),
+    "repro.frameworks.tensorflow_like": (
+        "CAFFE2_TO_TF_EQUIVALENTS", "TENSORFLOW",
+    ),
+})
 
 __all__ = [
     "FrameworkLowering",

@@ -1,8 +1,14 @@
 """GPU performance model (roofline kernels + PCIe transfers)."""
 
-from repro.gpusim.device import GpuGraphProfile, GpuModel, GpuOpProfile
-from repro.gpusim.kernels import COMPUTE_EFFICIENCY, KernelCostModel, OpDeviceProfile
-from repro.gpusim.pcie import PcieModel, TransferProfile
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.gpusim.device": ("GpuGraphProfile", "GpuModel", "GpuOpProfile"),
+    "repro.gpusim.kernels": (
+        "COMPUTE_EFFICIENCY", "KernelCostModel", "OpDeviceProfile",
+    ),
+    "repro.gpusim.pcie": ("PcieModel", "TransferProfile"),
+})
 
 __all__ = [
     "GpuModel",

@@ -16,38 +16,25 @@ Three pieces:
   pass/warn/fail exit codes (``repro check``).
 """
 
-from repro.ledger.diff import (
-    DEFAULT_TOLERANCE,
-    DeltaEntry,
-    RunDiff,
-    diff_against_baselines,
-    diff_records,
-)
-from repro.ledger.record import (
-    LATENCY_HISTOGRAM,
-    OCCUPANCY_HISTOGRAM,
-    SCHEMA_VERSION,
-    ConfigFingerprint,
-    RunRecord,
-    SchemaVersionError,
-    fingerprint_for,
-    merged_histogram,
-    platform_key,
-    record_profile,
-    record_run,
-    record_schedule,
-    record_sweep,
-)
-from repro.ledger.slo import (
-    SLO_METRICS,
-    SloCheck,
-    SloReport,
-    SloRule,
-    evaluate,
-    load_rules,
-    parse_rules,
-)
-from repro.ledger.store import RunLedger, index_by_key, load_records
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ledger.diff": (
+        "DEFAULT_TOLERANCE", "DeltaEntry", "RunDiff", "diff_against_baselines",
+        "diff_records",
+    ),
+    "repro.ledger.record": (
+        "LATENCY_HISTOGRAM", "OCCUPANCY_HISTOGRAM", "SCHEMA_VERSION",
+        "ConfigFingerprint", "RunRecord", "SchemaVersionError",
+        "fingerprint_for", "merged_histogram", "platform_key",
+        "record_profile", "record_run", "record_schedule", "record_sweep",
+    ),
+    "repro.ledger.slo": (
+        "SLO_METRICS", "SloCheck", "SloReport", "SloRule", "evaluate",
+        "load_rules", "parse_rules",
+    ),
+    "repro.ledger.store": ("RunLedger", "index_by_key", "load_records"),
+})
 
 __all__ = [
     "SCHEMA_VERSION",

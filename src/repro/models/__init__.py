@@ -1,26 +1,27 @@
 """The eight industry-representative recommendation models (Table I)."""
 
-from repro.models.base import InputDescription, RecommendationModel
-from repro.models.config import EmbeddingGroupConfig, MlpConfig, ModelInfo
-from repro.models.dien import DIEN
-from repro.models.din import DIN
-from repro.models.dlrm import DLRM, DLRMConfig, make_rm1, make_rm2, make_rm3
-from repro.models.mf import MatrixFactorization
-from repro.models.ncf import NCF
-from repro.models.wnd import MultiTaskWideAndDeep, WideAndDeep
-from repro.models.variants import (
-    dlrm_variant,
-    embedding_dim_sweep,
-    fc_width_sweep,
-    lookup_sweep,
-    table_count_sweep,
-)
-from repro.models.zoo import (
-    MODEL_FACTORIES,
-    MODEL_ORDER,
-    build_all_models,
-    build_model,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.models.base": ("InputDescription", "RecommendationModel"),
+    "repro.models.config": ("EmbeddingGroupConfig", "MlpConfig", "ModelInfo"),
+    "repro.models.dien": ("DIEN",),
+    "repro.models.din": ("DIN",),
+    "repro.models.dlrm": (
+        "DLRM", "DLRMConfig", "make_rm1", "make_rm2", "make_rm3",
+    ),
+    "repro.models.mf": ("MatrixFactorization",),
+    "repro.models.names": ("MODEL_ORDER",),
+    "repro.models.ncf": ("NCF",),
+    "repro.models.variants": (
+        "dlrm_variant", "embedding_dim_sweep", "fc_width_sweep",
+        "lookup_sweep", "table_count_sweep",
+    ),
+    "repro.models.wnd": ("MultiTaskWideAndDeep", "WideAndDeep"),
+    "repro.models.zoo": (
+        "MODEL_FACTORIES", "build_all_models", "build_model",
+    ),
+})
 
 __all__ = [
     "RecommendationModel",

@@ -1,17 +1,18 @@
 """The eight-model suite, addressable by name.
 
-``MODEL_ORDER`` fixes the presentation order the paper's figures use
-(grouped: embedding-dominated, FC-dominated, attention-based).
+The keys and their figure order are
+:data:`~repro.models.names.MODEL_ORDER`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.models.base import RecommendationModel
 from repro.models.dien import DIEN
 from repro.models.din import DIN
 from repro.models.dlrm import make_rm1, make_rm2, make_rm3
+from repro.models.names import MODEL_ORDER
 from repro.models.ncf import NCF
 from repro.models.wnd import MultiTaskWideAndDeep, WideAndDeep
 
@@ -27,9 +28,6 @@ MODEL_FACTORIES: Dict[str, Callable[[], RecommendationModel]] = {
     "din": DIN,
     "dien": DIEN,
 }
-
-#: Figure ordering used throughout the paper.
-MODEL_ORDER: List[str] = ["ncf", "rm1", "rm2", "rm3", "wnd", "mtwnd", "din", "dien"]
 
 #: Long-form spellings accepted alongside the short keys.
 _MODEL_ALIASES: Dict[str, str] = {

@@ -19,25 +19,22 @@ aggregates cannot express:
   ``repro report``.
 """
 
-from repro.monitor.analysis import (
-    Alert,
-    classify_regime,
-    detect_regime_shifts,
-    detect_tail_excursions,
-    utilization_series,
-)
-from repro.monitor.burnrate import (
-    BurnRateConfig,
-    evaluate_burn_rates,
-    window_error_fractions,
-)
-from repro.monitor.report import MonitorReport
-from repro.monitor.scenario import (
-    SCENARIOS,
-    MonitoredScenario,
-    run_monitored_scenario,
-    scenario_kwargs,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.monitor.analysis": (
+        "Alert", "classify_regime", "detect_regime_shifts",
+        "detect_tail_excursions", "utilization_series",
+    ),
+    "repro.monitor.burnrate": (
+        "BurnRateConfig", "evaluate_burn_rates", "window_error_fractions",
+    ),
+    "repro.monitor.report": ("MonitorReport",),
+    "repro.monitor.scenario": (
+        "SCENARIOS", "MonitoredScenario", "run_monitored_scenario",
+        "scenario_kwargs",
+    ),
+})
 
 __all__ = [
     "Alert",

@@ -2,11 +2,11 @@
 
 The scenario table is the single source of truth for what ``repro
 resilience``, ``repro monitor``, ``repro explain`` and ``repro shard``
-inject (the CLI imports it from here). :class:`Scenario` is one
-validated serving operating point — model, platforms, batching, load,
-faults, deadline and shard layout — and the only place that turns one
-into service-time models, a fault plan, a policy set and a resilient
-run. Every serving command and the golden tests go through it, so CLI
+inject; the CLI parser lists its names from :mod:`repro.monitor.names`,
+pinned equal to it. :class:`Scenario` is one validated serving
+operating point — model, platforms, batching, load, faults, deadline
+and shard layout — and the only place that turns one into service-time
+models, a fault plan, a policy set and a resilient run. Every serving command and the golden tests go through it, so CLI
 output and test pins cannot drift apart.
 """
 

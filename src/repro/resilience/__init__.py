@@ -16,28 +16,23 @@ Two halves, composable with the existing
 See ``docs/resilience.md`` for the fault model and policy semantics.
 """
 
-from repro.resilience.engine import ResilientScheduler, ResilientScheduleResult
-from repro.resilience.faults import (
-    CrashWindow,
-    DropSpec,
-    FaultInjector,
-    FaultPlan,
-    NetworkDegradationWindow,
-    PcieDegradationWindow,
-    ServerFaults,
-    SlowdownWindow,
-    StragglerSpec,
-    hashed_uniform,
-)
-from repro.resilience.policies import (
-    CircuitBreakerPolicy,
-    DegradationPolicy,
-    HedgePolicy,
-    ResiliencePolicy,
-    RetryPolicy,
-    SheddingPolicy,
-)
-from repro.resilience.server import Replica, ServerState
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.engine": (
+        "ResilientScheduler", "ResilientScheduleResult",
+    ),
+    "repro.resilience.faults": (
+        "CrashWindow", "DropSpec", "FaultInjector", "FaultPlan",
+        "NetworkDegradationWindow", "PcieDegradationWindow", "ServerFaults",
+        "SlowdownWindow", "StragglerSpec", "hashed_uniform",
+    ),
+    "repro.resilience.policies": (
+        "CircuitBreakerPolicy", "DegradationPolicy", "HedgePolicy",
+        "ResiliencePolicy", "RetryPolicy", "SheddingPolicy",
+    ),
+    "repro.resilience.server": ("Replica", "ServerState"),
+})
 
 __all__ = [
     # fault model

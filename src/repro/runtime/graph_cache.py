@@ -22,7 +22,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Hashable, Optional, Tuple
 
 from repro import telemetry
 from repro.analysis import assert_verified
@@ -73,19 +73,6 @@ class GraphCacheStats:
     hits: int
     misses: int
     size: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "size": float(self.size),
-            "hit_rate": self.hit_rate,
-        }
 
 
 class LRUCache:

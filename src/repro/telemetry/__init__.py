@@ -25,34 +25,29 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Tuple, Union
 
-from repro.telemetry.chrome_trace import (
-    chrome_trace_document,
-    load_chrome_trace,
-    querytrace_flow_events,
-    spans_to_trace_events,
-    timeseries_to_counter_events,
-    write_chrome_trace,
-)
-from repro.telemetry.histogram import HistogramSnapshot, StreamingHistogram
+from repro._lazy import lazy_exports
 from repro.telemetry.metrics import Counter, Gauge, MetricsRegistry
-from repro.telemetry.querytrace import (
-    COMPONENTS,
-    AttemptEvent,
-    QueryTraceCapture,
-    QueryTraceRecord,
-    ServiceParts,
-    decompose_attempts,
-)
-from repro.telemetry.timeseries import TimeSeries, TimeSeriesSummary
-from repro.telemetry.report import (
-    metrics_csv,
-    metrics_json,
-    metrics_table,
-    render_metrics,
-    summarize_spans,
-    write_metrics_report,
-)
 from repro.telemetry.tracer import MODELED_TID, NoopTracer, Span, Tracer
+
+# The state functions below need only the tracer and the registry; the
+# exporters, serving views and histogram are imported on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.chrome_trace": (
+        "chrome_trace_document", "load_chrome_trace", "querytrace_flow_events",
+        "spans_to_trace_events", "timeseries_to_counter_events",
+        "write_chrome_trace",
+    ),
+    "repro.telemetry.histogram": ("HistogramSnapshot", "StreamingHistogram"),
+    "repro.telemetry.querytrace": (
+        "COMPONENTS", "AttemptEvent", "QueryTraceCapture", "QueryTraceRecord",
+        "ServiceParts", "decompose_attempts",
+    ),
+    "repro.telemetry.report": (
+        "metrics_csv", "metrics_json", "metrics_table", "render_metrics",
+        "summarize_spans", "write_metrics_report",
+    ),
+    "repro.telemetry.timeseries": ("TimeSeries", "TimeSeriesSummary"),
+})
 
 __all__ = [
     # state management

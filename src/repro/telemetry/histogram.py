@@ -28,8 +28,6 @@ import math
 import threading
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 __all__ = ["HistogramSnapshot", "StreamingHistogram"]
 
 
@@ -150,8 +148,11 @@ class StreamingHistogram:
         Equivalent to calling :meth:`observe` per value, but bucket
         indices are computed with NumPy and the lock is taken once —
         the scheduler records whole dispatched batches this way instead
-        of looping per query.
+        of looping per query. NumPy is imported here, its only use, so
+        the ledger and the CLI's telemetry state load without it.
         """
+        import numpy as np
+
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1:
             arr = arr.reshape(-1)

@@ -1,19 +1,23 @@
 """Analytical CPU microarchitecture simulator (TopDown-style)."""
 
-from repro.uarch.caches import (
-    AnalyticalHierarchy,
-    CacheHierarchy,
-    LevelAccesses,
-    SetAssociativeCache,
-)
-from repro.uarch.constants import DEFAULT_CONSTANTS, UarchConstants
-from repro.uarch.events import PmuEvents
-from repro.uarch.frontend import CodeRegion, FrontendModel, FrontendProfile
-from repro.uarch.pipeline import CpuGraphProfile, CpuModel, CpuOpProfile
-from repro.uarch.multicore import CoreScalingPoint, MulticoreModel
-from repro.uarch.nmp import NmpConfig, NmpSystem
-from repro.uarch.topdown import TopDownBreakdown, topdown_from_events
-from repro.uarch.tracesim import EmbeddingTraceStudy, TraceStudyResult
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.uarch.caches": (
+        "AnalyticalHierarchy", "CacheHierarchy", "LevelAccesses",
+        "SetAssociativeCache",
+    ),
+    "repro.uarch.constants": ("DEFAULT_CONSTANTS", "UarchConstants"),
+    "repro.uarch.events": ("PmuEvents",),
+    "repro.uarch.frontend": (
+        "CodeRegion", "FrontendModel", "FrontendProfile",
+    ),
+    "repro.uarch.multicore": ("CoreScalingPoint", "MulticoreModel"),
+    "repro.uarch.nmp": ("NmpConfig", "NmpSystem"),
+    "repro.uarch.pipeline": ("CpuGraphProfile", "CpuModel", "CpuOpProfile"),
+    "repro.uarch.topdown": ("TopDownBreakdown", "topdown_from_events"),
+    "repro.uarch.tracesim": ("EmbeddingTraceStudy", "TraceStudyResult"),
+})
 
 __all__ = [
     "CpuModel",

@@ -1,18 +1,20 @@
 """Synthetic query workloads (batch grids, index distributions)."""
 
-from repro.workloads.distributions import (
-    IndexDistribution,
-    UniformIndices,
-    ZipfIndices,
-    hot_keys,
-    hot_mass,
-)
-from repro.workloads.generator import (
-    QueryGenerator,
-    operator_breakdown_batch_sizes,
-    paper_batch_sizes,
-)
-from repro.workloads.traces import DiurnalTrace, TraceInterval, TraceReplay, replay
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.distributions": (
+        "IndexDistribution", "UniformIndices", "ZipfIndices", "hot_keys",
+        "hot_mass",
+    ),
+    "repro.workloads.generator": (
+        "QueryGenerator", "operator_breakdown_batch_sizes",
+        "paper_batch_sizes",
+    ),
+    "repro.workloads.traces": (
+        "DiurnalTrace", "TraceInterval", "TraceReplay", "replay",
+    ),
+})
 
 __all__ = [
     "DiurnalTrace",

@@ -90,6 +90,34 @@ class TestDeterminism:
         b = run_contract(contract, seed=2, max_examples=12, corpus_dir=None)
         assert a.digest != b.digest
 
+    def test_stream_does_not_depend_on_earlier_contracts(self, tmp_path):
+        """Hypothesis draws constants from the local modules imported so
+        far, and the package imports lazily; in fresh interpreters, a
+        contract's stream is the same alone and after another one."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def digest(*names):
+            argv = ["fuzz", "--budget", "2", "--seed", "2020", "--json",
+                    "--corpus-dir", str(tmp_path)]
+            for name in names:
+                argv += ["--contract", name]
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 f"import sys; sys.path.insert(0, {src!r}); "
+                 f"from repro.cli import main; sys.exit(main({argv!r}))"],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)["contracts"][-1]["digest"]
+
+        alone = digest("timeseries_merge_lossless")
+        assert alone == digest("ledger_byte_stability",
+                               "timeseries_merge_lossless")
+
     def test_report_digest_covers_all_contracts(self):
         cheap = [contract_by_name("lowering_agreement"),
                  contract_by_name("timeseries_merge_lossless")]

@@ -209,3 +209,23 @@ class TestCliUserErrors:
         assert user_error(
             ["sweep", "--models", "ncf", "--batches", "16", "16"]
         ).startswith("error: duplicate batch sizes")
+
+
+class TestScenarioNames:
+    def test_name_table_matches_the_scenario_table(self):
+        """The CLI's numpy-free name lists are the SCENARIOS table's keys,
+        in table order, split the way the serving commands split them."""
+        from repro.monitor.names import (
+            REPLICA_SCENARIO_NAMES,
+            SCENARIO_NAMES,
+            SHARD_SCENARIO_NAMES,
+        )
+        from repro.monitor.scenario import (
+            SCENARIOS,
+            replica_scenario_names,
+            shard_scenario_names,
+        )
+
+        assert SCENARIO_NAMES == tuple(SCENARIOS)
+        assert REPLICA_SCENARIO_NAMES == replica_scenario_names()
+        assert SHARD_SCENARIO_NAMES == shard_scenario_names()
