@@ -673,8 +673,6 @@ def _check_service_time(example: Mapping[str, Any]) -> None:
                 f"(knots {batches})",
             )
     marginal = (stm.seconds(top) - stm.seconds(prev)) / (top - prev)
-    if marginal <= 0.0:
-        return
     for b in probes:
         if b > top:
             _require(
